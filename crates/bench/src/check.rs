@@ -19,10 +19,6 @@ pub const THROUGHPUT_TOLERANCE: f64 = 0.20;
 /// warning.
 pub const REBUILD_TOLERANCE: f64 = 0.20;
 
-/// Minimum best-columnar over best-batched ratio the data plane must
-/// hold, independent of the baseline file.
-pub const MIN_COLUMNAR_SPEEDUP: f64 = 1.5;
-
 /// Extracts the number following `"key":` in `json`, if present.
 ///
 /// Only suitable for the flat, machine-written bench JSON — it scans
@@ -131,28 +127,14 @@ fn check_rebuild(report: &mut CheckReport, rebuild: &str, baseline: &str, key: &
 
 /// Compares one throughput + rebuild run against the baseline.
 ///
-/// Fails on: any mode regressing more than [`THROUGHPUT_TOLERANCE`],
-/// a missing mode, or a best-columnar/best-batched ratio below
-/// [`MIN_COLUMNAR_SPEEDUP`]. Rebuild latency drift only warns.
+/// Fails on any mode (`unbatched` = batch size 1, `columnar` = best
+/// batched run) regressing more than [`THROUGHPUT_TOLERANCE`], or a
+/// missing mode. Rebuild latency drift only warns.
 #[must_use]
 pub fn check(baseline: &str, throughput: &str, rebuild: &str) -> CheckReport {
     let mut report = CheckReport::default();
-    for mode in ["unbatched", "batched", "columnar"] {
+    for mode in ["unbatched", "columnar"] {
         check_mode(&mut report, throughput, baseline, mode);
-    }
-    if let (Some(batched), Some(columnar)) = (
-        best_mode_throughput(throughput, "batched"),
-        best_mode_throughput(throughput, "columnar"),
-    ) {
-        let speedup = columnar / batched.max(f64::MIN_POSITIVE);
-        report
-            .lines
-            .push(format!("  columnar / batched speedup: {speedup:.2}x"));
-        if speedup < MIN_COLUMNAR_SPEEDUP {
-            report.failures.push(format!(
-                "columnar speedup {speedup:.2}x below the {MIN_COLUMNAR_SPEEDUP:.1}x floor"
-            ));
-        }
     }
     check_rebuild(&mut report, rebuild, baseline, "warm_ms");
     check_rebuild(&mut report, rebuild, baseline, "cold_steady_ms");
@@ -166,21 +148,19 @@ mod tests {
     const BASELINE: &str = r#"{
   "bench": "hotpath_baseline",
   "throughput_unbatched_tuples_per_s": 1000.0,
-  "throughput_batched_tuples_per_s": 2000.0,
   "throughput_columnar_tuples_per_s": 4000.0,
   "rebuild_warm_ms": 10.0,
   "rebuild_cold_steady_ms": 8.0
 }"#;
 
-    fn throughput(unbatched: f64, batched: f64, columnar: f64) -> String {
+    fn throughput(unbatched: f64, columnar: f64) -> String {
         format!(
             r#"{{"runs": [
   {{"mode": "unbatched", "batch_size": 1, "tuples_per_s": {unbatched}}},
-  {{"mode": "batched", "batch_size": 64, "tuples_per_s": {batched}}},
-  {{"mode": "batched", "batch_size": 256, "tuples_per_s": {}}},
-  {{"mode": "columnar", "batch_size": 256, "tuples_per_s": {columnar}}}
+  {{"mode": "columnar", "batch_size": 64, "tuples_per_s": {columnar}}},
+  {{"mode": "columnar", "batch_size": 256, "tuples_per_s": {}}}
 ]}}"#,
-            batched / 2.0
+            columnar / 2.0
         )
     }
 
@@ -190,45 +170,37 @@ mod tests {
     fn extracts_numbers_and_bests() {
         assert_eq!(extract_number(BASELINE, "rebuild_warm_ms"), Some(10.0));
         assert_eq!(extract_number(BASELINE, "absent"), None);
-        let t = throughput(900.0, 2100.0, 4000.0);
-        assert_eq!(best_mode_throughput(&t, "batched"), Some(2100.0));
+        let t = throughput(900.0, 4000.0);
+        assert_eq!(best_mode_throughput(&t, "columnar"), Some(4000.0));
         assert_eq!(best_mode_throughput(&t, "absent"), None);
     }
 
     #[test]
     fn passes_within_tolerance() {
-        let report = check(BASELINE, &throughput(900.0, 1900.0, 4100.0), REBUILD);
+        let report = check(BASELINE, &throughput(900.0, 4100.0), REBUILD);
         assert!(report.ok(), "failures: {:?}", report.failures);
         assert!(report.warnings.is_empty(), "{:?}", report.warnings);
     }
 
     #[test]
     fn fails_on_throughput_regression() {
-        let report = check(BASELINE, &throughput(900.0, 1900.0, 3000.0), REBUILD);
+        let report = check(BASELINE, &throughput(900.0, 3000.0), REBUILD);
         assert!(!report.ok());
         assert!(report.failures.iter().any(|f| f.contains("columnar")));
     }
 
     #[test]
-    fn fails_below_columnar_speedup_floor() {
-        // No mode regressed >20%, but columnar/batched fell under 1.5x.
-        let report = check(BASELINE, &throughput(1000.0, 2600.0, 3700.0), REBUILD);
-        assert!(!report.ok());
-        assert!(report.failures.iter().any(|f| f.contains("floor")));
-    }
-
-    #[test]
     fn rebuild_drift_only_warns() {
         let slow = r#"{"warm_ms": 30.0, "cold_steady_ms": 8.0}"#;
-        let report = check(BASELINE, &throughput(1000.0, 2000.0, 4000.0), slow);
+        let report = check(BASELINE, &throughput(1000.0, 4000.0), slow);
         assert!(report.ok());
         assert!(report.warnings.iter().any(|w| w.contains("warm_ms")));
     }
 
     #[test]
     fn missing_baseline_mode_fails() {
-        let report = check("{}", &throughput(1.0, 2.0, 3.0), REBUILD);
+        let report = check("{}", &throughput(1.0, 3.0), REBUILD);
         assert!(!report.ok());
-        assert_eq!(report.failures.len(), 3);
+        assert_eq!(report.failures.len(), 2);
     }
 }

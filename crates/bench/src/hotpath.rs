@@ -1,6 +1,5 @@
-//! Hot-path benchmarks: live data-plane throughput (unbatched vs
-//! batched vs columnar) and manager rebuild latency (cold vs
-//! warm-started).
+//! Hot-path benchmarks: live data-plane throughput (batch size 1 vs
+//! batched) and manager rebuild latency (cold vs warm-started).
 //!
 //! These are the two budgets the paper treats as first-class: the
 //! per-tuple routing-decision cost (§2) and the time the manager
@@ -25,9 +24,11 @@ use streamloc_workloads::{SplitMix64, Zipf};
 /// One measured throughput run.
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputRun {
-    /// Data-plane mode: `"unbatched"`, `"batched"` (per-tuple
-    /// processing inside batches, the PR-3 path), or `"columnar"`
-    /// (run-length routing + batched operator dispatch).
+    /// Data-plane mode label: `"unbatched"` (batch size 1, one
+    /// `Msg::Data` per tuple on the wire) or `"columnar"` (tuples
+    /// coalesced into `Msg::Batch`es). Both run the same run-based
+    /// processing and routing code; the labels match the baseline
+    /// keys `bench-check` gates on.
     pub mode: &'static str,
     /// Batch size the run used (1 = unbatched baseline).
     pub batch_size: usize,
@@ -63,17 +64,10 @@ impl ThroughputBench {
             .fold(0.0f64, f64::max)
     }
 
-    /// Best batched throughput over the unbatched baseline.
+    /// Best batched throughput over the batch-size-1 run.
     #[must_use]
     pub fn speedup(&self) -> f64 {
-        self.best("batched") / self.best("unbatched").max(f64::MIN_POSITIVE)
-    }
-
-    /// Best columnar throughput over the best per-tuple batched run —
-    /// what the run-length data plane buys beyond channel batching.
-    #[must_use]
-    pub fn columnar_speedup(&self) -> f64 {
-        self.best("columnar") / self.best("batched").max(f64::MIN_POSITIVE)
+        self.best("columnar") / self.best("unbatched").max(f64::MIN_POSITIVE)
     }
 }
 
@@ -137,7 +131,6 @@ fn throughput_run_sampled(
     let registry = Arc::new(MetricsRegistry::new());
     let config = LiveConfig {
         batch_size,
-        columnar: mode == "columnar",
         metrics: Some(Arc::clone(&registry)),
         span_sampler,
         ..LiveConfig::default()
@@ -176,11 +169,8 @@ pub fn bench_throughput(quick: bool) -> (ThroughputBench, PathBuf) {
     println!("  mode        batch   elapsed      tuples/s   batch sends");
     let reps = 5;
     let mut runs = Vec::new();
-    let configs: [(&'static str, usize); 7] = [
+    let configs: [(&'static str, usize); 4] = [
         ("unbatched", 1),
-        ("batched", 16),
-        ("batched", 64),
-        ("batched", 256),
         ("columnar", 16),
         ("columnar", 64),
         ("columnar", 256),
@@ -205,10 +195,6 @@ pub fn bench_throughput(quick: bool) -> (ThroughputBench, PathBuf) {
         runs,
     };
     println!("  speedup (best batched / unbatched):  {:.2}x", bench.speedup());
-    println!(
-        "  speedup (best columnar / batched):   {:.2}x",
-        bench.columnar_speedup()
-    );
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -232,12 +218,8 @@ pub fn bench_throughput(quick: bool) -> (ThroughputBench, PathBuf) {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"speedup_batched_vs_unbatched\": {:.3},\n",
+        "  \"speedup_batched_vs_unbatched\": {:.3}\n",
         bench.speedup()
-    ));
-    json.push_str(&format!(
-        "  \"speedup_columnar_vs_batched\": {:.3}\n",
-        bench.columnar_speedup()
     ));
     json.push_str("}\n");
     let path = workspace_root().join("BENCH_throughput.json");
@@ -265,7 +247,7 @@ impl SpanOverheadBench {
     }
 }
 
-/// Measures the columnar data plane with span sampling off vs. on at
+/// Measures the batched data plane with span sampling off vs. on at
 /// 1/`denominator`. Runs `reps` back-to-back off/on pairs and keeps
 /// the pair with the *smallest* overhead: external load can only slow
 /// one run of a pair down (inflating or deflating that pair's ratio),
@@ -305,7 +287,7 @@ pub fn measure_span_overhead(total: u64, denominator: u64, reps: usize) -> SpanO
 pub fn bench_span_overhead(quick: bool) -> (SpanOverheadBench, PathBuf) {
     let total: u64 = if quick { 400_000 } else { 2_000_000 };
     let bench = measure_span_overhead(total, 64, 5);
-    println!("Span tracing overhead — columnar, 1/{} sampling", bench.denominator);
+    println!("Span tracing overhead — batch 256, 1/{} sampling", bench.denominator);
     println!("  sampling off:  {:>12.0} t/s", bench.off_tuples_per_s);
     println!("  sampling on:   {:>12.0} t/s", bench.on_tuples_per_s);
     println!("  overhead:      {:>11.2}%", bench.overhead() * 100.0);
@@ -453,18 +435,16 @@ mod tests {
 
     #[test]
     fn throughput_run_drains_and_counts_batches() {
-        let run = throughput_run(2, 100, 6_000, "batched", 64);
+        let run = throughput_run(2, 100, 6_000, "columnar", 64);
         assert!(run.tuples_per_s > 0.0);
         assert!(run.batch_sends > 0, "batched run must send batches");
-        let columnar = throughput_run(2, 100, 6_000, "columnar", 64);
-        assert!(columnar.batch_sends > 0, "columnar run must send batches");
         let unbatched = throughput_run(2, 100, 6_000, "unbatched", 1);
         assert_eq!(unbatched.batch_sends, 0);
     }
 
     #[test]
     fn span_overhead_within_five_percent() {
-        // The hard budget: 1/64 sampling must cost the columnar hot
+        // The hard budget: 1/64 sampling must cost the batched hot
         // path at most 5% throughput. Paired reps with min-overhead
         // selection keep shared-machine noise out of the estimate;
         // runs shorter than ~400k tuples are noise-dominated. The 5%
@@ -499,13 +479,11 @@ mod tests {
             keys: 1,
             runs: vec![
                 run("unbatched", 1, 100.0),
-                run("batched", 64, 250.0),
-                run("batched", 256, 200.0),
-                run("columnar", 64, 500.0),
+                run("columnar", 64, 250.0),
+                run("columnar", 256, 200.0),
             ],
         };
         assert!((bench.speedup() - 2.5).abs() < 1e-9);
-        assert!((bench.columnar_speedup() - 2.0).abs() < 1e-9);
         assert_eq!(bench.best("missing"), 0.0);
     }
 }

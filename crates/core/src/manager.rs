@@ -366,7 +366,7 @@ impl Manager {
         self.hops.len()
     }
 
-    /// The last routing table generated for `po`, if `po` is routed by
+    /// The routing table last deployed for `po`, if `po` is routed by
     /// this manager.
     #[must_use]
     pub fn table_for(&self, po: PoId) -> Option<&RoutingTable> {
@@ -406,15 +406,28 @@ impl Manager {
         if sim.manager_down() {
             return Err(ReconfigInProgress);
         }
-        let (summary, plan) = self.compute(sim);
+        let (summary, plan, tables) = self.compute(sim);
+        self.deploy(sim, plan, tables)?;
+        Ok(summary)
+    }
+
+    /// Starts the wave for `plan`, commits `tables` as the deployed
+    /// ones, charges the statistics upload and resets the statistics.
+    fn deploy(
+        &mut self,
+        sim: &mut Simulation,
+        plan: ReconfigPlan,
+        tables: Vec<RoutingTable>,
+    ) -> Result<(), ReconfigInProgress> {
         sim.start_reconfiguration(plan)?;
+        self.tables = tables;
         self.charge_metrics_upload(sim);
         for hop in &self.hops {
             for tracker in &hop.trackers {
                 tracker.reset();
             }
         }
-        Ok(summary)
+        Ok(())
     }
 
     /// Estimates the impact of reconfiguring *now*, without applying
@@ -450,19 +463,13 @@ impl Manager {
         if sim.manager_down() {
             return Err(ReconfigInProgress);
         }
-        let (summary, plan) = self.compute(sim);
+        let (summary, plan, tables) = self.compute(sim);
         if summary.locality_gain() < policy.min_locality_gain
             && summary.imbalance_gain() < policy.min_imbalance_gain
         {
             return Ok(None);
         }
-        sim.start_reconfiguration(plan)?;
-        self.charge_metrics_upload(sim);
-        for hop in &self.hops {
-            for tracker in &hop.trackers {
-                tracker.reset();
-            }
-        }
+        self.deploy(sim, plan, tables)?;
         Ok(Some(summary))
     }
 
@@ -533,10 +540,11 @@ impl Manager {
     /// "optimized routing tables can be loaded at the start of the
     /// application", §3.4).
     pub fn apply_offline(&mut self, sim: &mut Simulation) -> ReconfigSummary {
-        let (summary, plan) = self.compute(sim);
+        let (summary, plan, tables) = self.compute(sim);
         for (poi, edge, router) in plan.routers {
             sim.set_poi_router(poi, edge, router);
         }
+        self.tables = tables;
         for hop in &self.hops {
             for tracker in &hop.trackers {
                 tracker.reset();
@@ -545,8 +553,14 @@ impl Manager {
         summary
     }
 
-    /// Builds the key graph, partitions it and assembles the plan.
-    fn compute(&mut self, sim: &Simulation) -> (ReconfigSummary, ReconfigPlan) {
+    /// Builds the key graph, partitions it and assembles the plan,
+    /// returning the new tables for the caller to commit to
+    /// `self.tables` once the plan is deployed: migrations are planned
+    /// against the tables actually in force.
+    fn compute(
+        &mut self,
+        sim: &Simulation,
+    ) -> (ReconfigSummary, ReconfigPlan, Vec<RoutingTable>) {
         let servers = sim.cluster().servers;
         let mut builder = Graph::builder();
         let mut vmap: HashMap<(PoId, Key), VertexId> = HashMap::new();
@@ -698,17 +712,29 @@ impl Manager {
         let mut routers: Vec<(PoiId, EdgeId, Arc<dyn KeyRouter>)> = Vec::new();
         let mut migrations = Vec::new();
         let mut table_entries = 0usize;
-        for (slot, (_po, in_edges)) in self.routed.iter().enumerate() {
+        let mut tables = Vec::with_capacity(self.routed.len());
+        for (slot, (po, in_edges)) in self.routed.iter().enumerate() {
             let mut table = RoutingTable::from_assignments(
                 assignments[slot].iter().map(|(&k, &i)| (k, i)),
             );
             table.set_epoch(self.rounds);
-            if let Some((hash, stale)) = &self.fallback_counters {
-                table.attach_fallback_counters(hash.clone(), stale.clone());
-            }
             table_entries += table.len();
             if let Some(&first_edge) = in_edges.first() {
+                // A key leaving the table falls back to hash routing;
+                // its state must move there too, or it is stranded on
+                // the old owner. Resolved before the fallback counters
+                // are attached, so planning does not count as routing.
+                let parallelism = sim.poi_ids(*po).len();
+                let leaving: Vec<(Key, u32)> = self.tables[slot]
+                    .iter()
+                    .filter(|(key, _)| !assignments[slot].contains_key(key))
+                    .map(|(key, _)| (key, table.route(key, parallelism)))
+                    .collect();
+                assignments[slot].extend(leaving);
                 migrations.extend(sim.migrations_for(first_edge, &assignments[slot]));
+            }
+            if let Some((hash, stale)) = &self.fallback_counters {
+                table.attach_fallback_counters(hash.clone(), stale.clone());
             }
             let shared: Arc<dyn KeyRouter> = Arc::new(table.clone());
             for &edge in in_edges {
@@ -717,7 +743,7 @@ impl Manager {
                     routers.push((poi, edge, Arc::clone(&shared)));
                 }
             }
-            self.tables[slot] = table;
+            tables.push(table);
         }
 
         let summary = ReconfigSummary {
@@ -748,6 +774,7 @@ impl Manager {
                 routers,
                 migrations,
             },
+            tables,
         )
     }
 }
@@ -764,6 +791,7 @@ fn instance_on_server(sim: &Simulation, po: PoId, server: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use streamloc_engine::{
         ClusterSpec, CountOperator, Placement, SimConfig, SourceRate, Topology, Tuple,
     };
@@ -985,5 +1013,77 @@ mod tests {
         assert!(!sim.reconfig_active(), "offline mode bypasses the wave");
         sim.run(20);
         assert_eq!(sim.pending_migrations(), 0);
+    }
+
+    #[test]
+    fn keys_leaving_the_tables_are_migrated() {
+        // The key window slides each round, so most keys of one round's
+        // tables are absent from the next round's statistics and fall
+        // back to hash routing. Every key of the old ∪ new table whose
+        // route changes must get exactly one migration, old owner → new.
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let n = 3;
+        let phase = Arc::new(AtomicU64::new(0));
+        let mut b = Topology::builder();
+        let window = Arc::clone(&phase);
+        let s = b.source("S", n, SourceRate::PerSecond(20_000.0), move |i| {
+            let window = Arc::clone(&window);
+            let mut c = i as u64;
+            Box::new(move || {
+                c = c.wrapping_add(0x9e37_79b9);
+                let ka = 8 * window.load(Ordering::Relaxed) + c % 12;
+                Some(Tuple::new([Key::new(ka), Key::new(ka + 1_000)], 64))
+            })
+        });
+        let a = b.stateful("A", n, CountOperator::factory());
+        let bb = b.stateful("B", n, CountOperator::factory());
+        b.connect(s, a, Grouping::fields(0));
+        b.connect(a, bb, Grouping::fields(1));
+        let topo = b.build().unwrap();
+        let placement = Placement::aligned(&topo, n);
+        let mut sim = Simulation::new(topo, ClusterSpec::lan_10g(n), placement, SimConfig::default());
+        let mut mgr = Manager::attach(&mut sim, ManagerConfig::default());
+
+        let mut leaving = 0;
+        for round in 0..3 {
+            phase.store(round, Ordering::Relaxed);
+            sim.run(20);
+            let old = mgr.tables.clone();
+            // An estimate deploys nothing: the plan must still be made
+            // against the tables in force.
+            let _ = mgr.estimate(&sim);
+            let (_, plan, tables) = mgr.compute(&sim);
+            for (slot, &(po, _)) in mgr.routed.iter().enumerate() {
+                let pois = sim.poi_ids(po);
+                let keys: HashSet<Key> = old[slot]
+                    .iter()
+                    .chain(tables[slot].iter())
+                    .map(|(key, _)| key)
+                    .collect();
+                for key in keys {
+                    let from = old[slot].route(key, n) as usize;
+                    let to = tables[slot].route(key, n) as usize;
+                    if old[slot].get(key).is_some() && tables[slot].get(key).is_none() {
+                        leaving += 1;
+                    }
+                    let moves: Vec<_> = plan
+                        .migrations
+                        .iter()
+                        .filter(|&&(_, k, dest)| k == key && pois.contains(&dest))
+                        .copied()
+                        .collect();
+                    let expected = if from == to {
+                        vec![]
+                    } else {
+                        vec![(pois[from], key, pois[to])]
+                    };
+                    assert_eq!(moves, expected, "round {round}, key {key}");
+                }
+            }
+            mgr.deploy(&mut sim, plan, tables).unwrap();
+            sim.run(20);
+            assert!(!sim.reconfig_active(), "wave of round {round} did not finish");
+        }
+        assert!(leaving > 0, "no key ever left the tables");
     }
 }

@@ -40,7 +40,7 @@ const SPAN_MAX_EXP: u32 = 36;
 ///
 /// A key is sampled iff `splitmix64(key ^ seed) <= u64::MAX / n`, so
 /// the decision is stable across runs, processes and batch shapes —
-/// the property the columnar ≡ per-tuple equivalence tests pin.
+/// the property the `stamp_batch` ≡ per-tuple property tests pin.
 ///
 /// # Example
 ///
