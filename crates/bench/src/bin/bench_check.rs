@@ -3,20 +3,15 @@
 //! beyond tolerance, warns (only) on rebuild-latency drift.
 //!
 //! Run `hotpath` first to produce `BENCH_throughput.json` and
-//! `BENCH_rebuild.json`, then this binary. With `--history`, a passing
-//! check also appends the run to `BENCH_history.jsonl` (machine tag,
-//! commit, throughput, rebuild latency) and warns when a metric has
-//! declined on three consecutive runs of the same machine.
+//! `BENCH_rebuild.json`, then this binary.
 
 use std::fs;
 use std::process::ExitCode;
 
 use streamloc_bench::check::check;
-use streamloc_bench::history::{append_and_check, current_entry};
 use streamloc_bench::hotpath::workspace_root;
 
 fn main() -> ExitCode {
-    let record_history = std::env::args().any(|a| a == "--history");
     let root = workspace_root();
     let read = |name: &str| {
         fs::read_to_string(root.join(name))
@@ -41,25 +36,5 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("bench check passed");
-
-    if record_history {
-        let Some(entry) = current_entry(&root, &throughput, &rebuild) else {
-            println!("WARN: bench artifacts incomplete, history entry not recorded");
-            return ExitCode::SUCCESS;
-        };
-        let path = root.join("BENCH_history.jsonl");
-        let warnings = append_and_check(&path, &entry);
-        println!(
-            "history: appended {} @ {} ({:.0} t/s, warm rebuild {:.2} ms) to {}",
-            entry.commit,
-            entry.machine,
-            entry.tuples_per_s,
-            entry.rebuild_warm_ms,
-            path.display()
-        );
-        for warning in &warnings {
-            println!("WARN: {warning}");
-        }
-    }
     ExitCode::SUCCESS
 }

@@ -133,7 +133,6 @@ fn throughput_run_sampled(
         batch_size,
         metrics: Some(Arc::clone(&registry)),
         span_sampler,
-        ..LiveConfig::default()
     };
     let start = Instant::now();
     let rt = LiveRuntime::start(topo, placement, servers, config);

@@ -310,7 +310,6 @@ pub fn run_live_demo(quick: bool, sample_denominator: u64) -> LatencyDemo {
         batch_size: 64,
         metrics: Some(Arc::clone(&registry)),
         span_sampler: Some(SpanSampler::new(0xC0FFEE, sample_denominator)),
-        ..LiveConfig::default()
     };
     let rt = LiveRuntime::start(topo, placement, SERVERS, config);
 

@@ -16,7 +16,6 @@ pub mod check;
 pub mod csv;
 pub mod figures;
 pub mod flickr_runs;
-pub mod history;
 pub mod hotpath;
 pub mod latency;
 pub mod replay;

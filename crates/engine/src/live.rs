@@ -140,11 +140,12 @@ pub struct InstanceReport {
     pub processed: u64,
 }
 
+/// Bounded capacity of each instance inbox (backpressure).
+const INBOX_CAPACITY: usize = 8_192;
+
 /// Runtime tuning knobs.
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
-    /// Bounded capacity of each instance inbox (backpressure).
-    pub channel_capacity: usize,
     /// Data-plane batching: tuples per destination are coalesced into
     /// `Msg::Batch` sends of up to this many tuples. Buffers are
     /// flushed when full, whenever the worker would otherwise block on
@@ -174,7 +175,6 @@ pub struct LiveConfig {
 impl Default for LiveConfig {
     fn default() -> Self {
         Self {
-            channel_capacity: 8_192,
             batch_size: 64,
             metrics: None,
             span_sampler: None,
@@ -182,8 +182,9 @@ impl Default for LiveConfig {
     }
 }
 
-/// Hot-path instruments shared by every worker. Detached (unexported)
-/// counters when no registry is attached, so increments never branch.
+/// Hot-path instruments shared by every worker. Without an attached
+/// registry they live in a private one that is never exported, so
+/// increments never branch.
 struct LiveHot {
     tuples_routed: Counter,
     tuples_remote: Counter,
@@ -198,56 +199,45 @@ struct LiveHot {
 
 impl LiveHot {
     fn new(registry: Option<&MetricsRegistry>) -> Self {
-        match registry {
-            Some(reg) => Self {
-                tuples_routed: reg.counter(
-                    "live_tuples_routed_total",
-                    "tuples sent on all edges by the live runtime",
-                ),
-                tuples_remote: reg.counter(
-                    "live_tuples_remote_total",
-                    "live tuples that crossed a server boundary",
-                ),
-                migrations_sent: reg.counter(
-                    "live_migrations_total",
-                    "key states shipped by live reconfiguration waves",
-                ),
-                migration_bytes: reg.counter(
-                    "live_migration_bytes_total",
-                    "bytes of key state shipped by live waves",
-                ),
-                batch_sends: reg.counter(
-                    "live_batch_sends_total",
-                    "coalesced Batch messages sent on the live data plane",
-                ),
-                batch_tuples: reg.counter(
-                    "live_batch_tuples_total",
-                    "tuples carried inside live Batch messages",
-                ),
-                batch_control_flushes: reg.counter(
-                    "live_batch_control_flushes_total",
-                    "send-buffer flushes forced by control-plane boundaries",
-                ),
-                batch_drops: reg.counter(
-                    "live_batch_drops_total",
-                    "Batch messages lost mid-flight to fault injection",
-                ),
-                batch_dropped_tuples: reg.counter(
-                    "live_batch_dropped_tuples_total",
-                    "tuples lost inside fault-dropped Batch messages",
-                ),
-            },
-            None => Self {
-                tuples_routed: Counter::detached(),
-                tuples_remote: Counter::detached(),
-                migrations_sent: Counter::detached(),
-                migration_bytes: Counter::detached(),
-                batch_sends: Counter::detached(),
-                batch_tuples: Counter::detached(),
-                batch_control_flushes: Counter::detached(),
-                batch_drops: Counter::detached(),
-                batch_dropped_tuples: Counter::detached(),
-            },
+        let private = MetricsRegistry::new();
+        let reg = registry.unwrap_or(&private);
+        Self {
+            tuples_routed: reg.counter(
+                "live_tuples_routed_total",
+                "tuples sent on all edges by the live runtime",
+            ),
+            tuples_remote: reg.counter(
+                "live_tuples_remote_total",
+                "live tuples that crossed a server boundary",
+            ),
+            migrations_sent: reg.counter(
+                "live_migrations_total",
+                "key states shipped by live reconfiguration waves",
+            ),
+            migration_bytes: reg.counter(
+                "live_migration_bytes_total",
+                "bytes of key state shipped by live waves",
+            ),
+            batch_sends: reg.counter(
+                "live_batch_sends_total",
+                "coalesced Batch messages sent on the live data plane",
+            ),
+            batch_tuples: reg.counter(
+                "live_batch_tuples_total",
+                "tuples carried inside live Batch messages",
+            ),
+            batch_control_flushes: reg.counter(
+                "live_batch_control_flushes_total",
+                "send-buffer flushes forced by control-plane boundaries",
+            ),
+            batch_drops: reg.counter(
+                "live_batch_drops_total",
+                "Batch messages lost mid-flight to fault injection",
+            ),
+            batch_dropped_tuples: reg.counter(
+                "live_batch_dropped_tuples_total",
+                "tuples lost inside fault-dropped Batch messages",
+            ),
         }
     }
 }
@@ -300,6 +290,16 @@ struct WorkerShared {
     epoch: AtomicU64,
 }
 
+impl WorkerShared {
+    /// What the injector (if armed) decides about one control message.
+    fn control_fate(&self, class: ControlClass) -> ControlFate {
+        self.fault
+            .lock()
+            .as_mut()
+            .map_or(ControlFate::Deliver, |inj| inj.on_control(class))
+    }
+}
+
 /// Nanoseconds since the runtime clock's epoch.
 fn span_now_ns(clock: &Instant) -> u64 {
     clock.elapsed().as_nanos() as u64
@@ -326,10 +326,23 @@ fn send_batch(shared: &WorkerShared, dest_idx: usize, batch: Vec<Tuple>) {
     let _ = shared.inboxes[dest_idx].send(Msg::Batch(batch));
 }
 
-/// Per-worker context threaded through the routing routine.
+/// Per-worker context: the routing state threaded through the
+/// routing routine, and this instance's side of the reconfiguration
+/// wave.
 struct WorkerCtx {
     po_idx: usize,
     my_idx: usize,
+    /// Global indices of every successor instance; `Propagate` and
+    /// `Eos` go to each.
+    successors: Vec<usize>,
+    /// Predecessor instances (0 for a source).
+    preds: usize,
+    /// The staged ③ configuration: router overrides and the
+    /// `(key, new owner)` states to ship when it applies.
+    staged: Option<(RouterUpdates, Vec<(Key, usize)>)>,
+    /// ⑤ propagates still missing before the staged configuration
+    /// applies.
+    awaiting: usize,
     rr: usize,
     overrides: HashMap<usize, Arc<dyn KeyRouter>>,
     /// Round-robin destinations per out edge (instance indices within
@@ -351,7 +364,13 @@ struct WorkerCtx {
 }
 
 impl WorkerCtx {
-    fn new(po_idx: usize, instance: usize, shared: &WorkerShared) -> Self {
+    fn new(
+        po_idx: usize,
+        instance: usize,
+        preds: usize,
+        successors: Vec<usize>,
+        shared: &WorkerShared,
+    ) -> Self {
         let my_idx = shared.poi_base[po_idx] + instance;
         let my_server = shared.server[my_idx];
         let shuffle_targets = shared.outs[po_idx]
@@ -376,6 +395,10 @@ impl WorkerCtx {
         Self {
             po_idx,
             my_idx,
+            successors,
+            preds,
+            staged: None,
+            awaiting: 0,
             rr: instance,
             overrides: HashMap::new(),
             shuffle_targets,
@@ -414,6 +437,115 @@ impl WorkerCtx {
     fn discard_outputs(&mut self) {
         for buf in &mut self.out_buf {
             buf.clear();
+        }
+    }
+
+    /// The wave-participant routine (paper §3.4), one rule for sources
+    /// and operators. ③ `Reconf` stages the new configuration and acks
+    /// ④. The last ⑤ `Propagate` from the predecessors (a root waits
+    /// for the coordinator's single one), or a `ForceApply` (the wave
+    /// driver's retry), applies it: flush, install the router
+    /// overrides, ship ⑥ `Migrate` for every moved key, forward ⑤ to
+    /// every successor, report `Applied`. A `Propagate` with nothing
+    /// staged is ignored. `StateProbe` is answered with a snapshot of
+    /// the keyed state.
+    ///
+    /// `core` is the operator's keyed state. A source passes `None`:
+    /// its ship list is always empty and it probes as an empty map.
+    /// Messages outside the wave protocol are ignored here; operators
+    /// handle them before calling in.
+    fn on_control(&mut self, msg: Msg, shared: &WorkerShared, core: Option<&mut OperatorCore>) {
+        match msg {
+            Msg::Reconf {
+                routers,
+                send,
+                receive,
+            } => {
+                self.flush_outputs(shared, true);
+                if let Some(core) = core {
+                    core.departed.clear();
+                    for key in receive {
+                        core.pending.entry(key).or_default();
+                    }
+                }
+                self.awaiting = self.preds.max(1);
+                self.staged = Some((routers, send));
+                let _ = shared.coord.send(CoordMsg::Ack(self.my_idx));
+            }
+            m @ (Msg::Propagate | Msg::ForceApply) => {
+                // ForceApply applies regardless of how many predecessor
+                // propagates are still outstanding (they were lost for
+                // good).
+                if matches!(m, Msg::ForceApply) {
+                    self.awaiting = self.awaiting.min(1);
+                }
+                self.awaiting = self.awaiting.saturating_sub(1);
+                if self.awaiting > 0 {
+                    return;
+                }
+                let Some((routers, send)) = self.staged.take() else {
+                    return;
+                };
+                // Flush before switching tables and forwarding the
+                // wave: buffered tuples were routed under the old
+                // configuration and must stay ahead of the `Propagate`s
+                // in every channel.
+                self.flush_outputs(shared, true);
+                for (edge, router) in routers {
+                    self.overrides.insert(edge.index(), router);
+                }
+                if let Some(core) = core {
+                    for (key, dest) in send {
+                        let moved = core.state.remove(&key);
+                        core.departed.insert(key, dest);
+                        // A dropped ⑥ loses the moved state (at-most-
+                        // once); the new owner adopts the key with
+                        // fresh state when it drains.
+                        if matches!(shared.control_fate(ControlClass::Migrate), ControlFate::Drop) {
+                            continue;
+                        }
+                        shared.hot.migrations_sent.inc();
+                        shared
+                            .hot
+                            .migration_bytes
+                            .add(moved.as_ref().map_or(0, StateValue::size_bytes));
+                        let _ = shared.inboxes[dest].send(Msg::Migrate { key, state: moved });
+                    }
+                }
+                for &succ in &self.successors {
+                    let _ = shared.inboxes[succ].send(Msg::Propagate);
+                }
+                let _ = shared.coord.send(CoordMsg::Applied(self.my_idx));
+            }
+            Msg::StateProbe(reply) => {
+                // Checkpoint boundary: buffered output is handed off
+                // before the state snapshot is taken.
+                self.flush_outputs(shared, true);
+                let _ = reply.send(core.map_or_else(HashMap::new, |core| core.state.clone()));
+            }
+            Msg::Data(_) | Msg::Batch(_) | Msg::Migrate { .. } | Msg::Eos | Msg::Crash { .. } => {}
+        }
+    }
+
+    /// Shuts this instance down: the last partial batches precede its
+    /// `Eos` tokens in every successor channel (per-sender FIFO), then
+    /// the coordinator learns it exited. Returns the final report.
+    fn exit(
+        mut self,
+        shared: &WorkerShared,
+        state: HashMap<Key, StateValue>,
+        processed: u64,
+    ) -> InstanceReport {
+        self.flush_outputs(shared, true);
+        for &succ in &self.successors {
+            let _ = shared.inboxes[succ].send(Msg::Eos);
+        }
+        let _ = shared.coord.send(CoordMsg::Exited(self.my_idx));
+        InstanceReport {
+            po: PoId(self.po_idx),
+            instance: self.my_idx - shared.poi_base[self.po_idx],
+            state,
+            processed,
         }
     }
 
@@ -633,7 +765,7 @@ impl LiveRuntime {
         let mut inboxes = Vec::with_capacity(n_instances);
         let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(n_instances);
         for _ in 0..n_instances {
-            let (tx, rx) = bounded::<Msg>(config.channel_capacity);
+            let (tx, rx) = bounded::<Msg>(INBOX_CAPACITY);
             inboxes.push(tx);
             receivers.push(Some(rx));
         }
@@ -732,13 +864,14 @@ impl LiveRuntime {
             epoch: AtomicU64::new(0),
         });
 
-        type ObserverEntry = (EdgeId, usize, Box<dyn PairObserver>);
-        let mut observer_map: HashMap<(usize, usize), Vec<ObserverEntry>> = HashMap::new();
+        let mut observer_map: HashMap<(usize, usize), ObserverSlots> = HashMap::new();
         for (po, instance, edge, field, obs) in observers {
             observer_map
                 .entry((po.index(), instance))
                 .or_default()
-                .push((edge, field, obs));
+                .entry(edge.index())
+                .or_default()
+                .push((field, obs));
         }
 
         let Topology { pos, .. } = topology;
@@ -748,37 +881,35 @@ impl LiveRuntime {
             for instance in 0..po.parallelism {
                 let shared = Arc::clone(&shared);
                 let rx = receivers[base + instance].take().expect("unique receiver");
-                let succs = succ_instances[po_idx].clone();
-                match &po.kind {
+                let (preds, succs) = (pred_instances[po_idx], succ_instances[po_idx].clone());
+                let ctx = WorkerCtx::new(po_idx, instance, preds, succs, &shared);
+                handles.push(match &po.kind {
                     PoKind::Source { factory, rate } => {
-                        let gen = factory(instance);
-                        let rate = *rate;
-                        handles.push(std::thread::spawn(move || {
-                            source_loop(po_idx, instance, gen, rate, shared, succs, rx)
-                        }));
+                        let (gen, rate) = (factory(instance), *rate);
+                        std::thread::spawn(move || source_loop(ctx, gen, rate, shared, rx))
                     }
                     PoKind::Operator { factory, stateful } => {
-                        let op = factory(instance);
-                        let stateful = *stateful;
-                        let state_field = state_fields[po_idx];
-                        let preds = pred_instances[po_idx];
-                        let obs = observer_map.remove(&(po_idx, instance)).unwrap_or_default();
-                        handles.push(std::thread::spawn(move || {
-                            operator_loop(
-                                po_idx,
-                                instance,
-                                op,
-                                stateful,
-                                state_field,
-                                preds,
-                                succs,
-                                obs,
-                                shared,
-                                rx,
-                            )
-                        }));
+                        let core = OperatorCore {
+                            op: factory(instance),
+                            stateful: *stateful,
+                            state_field: state_fields[po_idx],
+                            state: HashMap::new(),
+                            pending: HashMap::new(),
+                            departed: HashMap::new(),
+                            observers: observer_map
+                                .remove(&(po_idx, instance))
+                                .unwrap_or_default(),
+                            emitted: Vec::new(),
+                            processed: 0,
+                            span_rec: shared
+                                .sampler
+                                .map(|_| SpanRecorder::new(shared.span_metrics.clone())),
+                            is_sink: shared.outs[po_idx].is_empty(),
+                            sampled: Vec::new(),
+                        };
+                        std::thread::spawn(move || operator_loop(ctx, core, shared, rx))
                     }
-                }
+                });
             }
         }
 
@@ -849,15 +980,6 @@ impl LiveRuntime {
         }
     }
 
-    /// What the injector (if armed) decides about one control message.
-    fn control_fate(&self, class: ControlClass) -> ControlFate {
-        self.shared
-            .fault
-            .lock()
-            .as_mut()
-            .map_or(ControlFate::Deliver, |inj| inj.on_control(class))
-    }
-
     /// Runs the reconfiguration wave under a deadline with bounded
     /// retries, the live runtime's failure-recovery protocol:
     ///
@@ -892,45 +1014,31 @@ impl LiveRuntime {
         wave: WaveConfig,
     ) -> Result<(), ReconfigError> {
         let n = self.n_instances;
+        let shared = &*self.shared;
         // Pre-split the plan per instance so retries can resend it.
         let mut routers: Vec<RouterUpdates> = vec![Vec::new(); n];
         for (po, edge, router) in &plan.routers {
-            let base = self.shared.poi_base[po.index()];
-            for i in 0..self.shared.parallelism[po.index()] {
+            let base = shared.poi_base[po.index()];
+            for i in 0..shared.parallelism[po.index()] {
                 routers[base + i].push((*edge, Arc::clone(router)));
             }
         }
         let mut send: Vec<Vec<(Key, usize)>> = vec![Vec::new(); n];
         let mut receive: Vec<Vec<Key>> = vec![Vec::new(); n];
         for &(po, key, old, new) in &plan.migrations {
-            let base = self.shared.poi_base[po.index()];
+            let base = shared.poi_base[po.index()];
             send[base + old].push((key, base + new));
             receive[base + new].push(key);
         }
 
-        let mut acked: HashSet<usize> = HashSet::new();
-        let mut applied: HashSet<usize> = HashSet::new();
-        let mut exited: HashSet<usize> = HashSet::new();
+        let mut progress = WaveProgress::default();
         // Discard coordinator leftovers of earlier waves; exits are
         // permanent and kept.
         while let Ok(msg) = self.coord_rx.try_recv() {
             if let CoordMsg::Exited(idx) = msg {
-                exited.insert(idx);
+                progress.exited.insert(idx);
             }
         }
-        let staged_done = |acked: &HashSet<usize>,
-                           applied: &HashSet<usize>,
-                           exited: &HashSet<usize>| {
-            (0..n).all(|i| acked.contains(&i) || applied.contains(&i) || exited.contains(&i))
-        };
-        let apply_done = |applied: &HashSet<usize>, exited: &HashSet<usize>| {
-            (0..n).all(|i| applied.contains(&i) || exited.contains(&i))
-        };
-
-        // Delay-injected control messages wait here with their real
-        // due time instead of blocking the coordinator; they are
-        // delivered from the ④/⑥ collection loops as they come due.
-        let mut timers: Vec<(Instant, usize, Msg)> = Vec::new();
 
         let mut last_attempt = 0;
         for attempt in 0..=wave.max_retries {
@@ -941,11 +1049,9 @@ impl LiveRuntime {
             );
             let deadline = Instant::now() + budget;
 
-            // ③ stage at every instance that has not applied yet. The
-            // injector may drop (recovered by the next attempt) or
-            // delay messages (queued with their configured duration).
+            // ③ stage at every instance that has not applied yet.
             for idx in (0..n).rev() {
-                if applied.contains(&idx) || exited.contains(&idx) {
+                if progress.settled(idx) {
                     continue;
                 }
                 let msg = Msg::Reconf {
@@ -953,47 +1059,12 @@ impl LiveRuntime {
                     send: send[idx].clone(),
                     receive: receive[idx].clone(),
                 };
-                match self.control_fate(ControlClass::SendReconf) {
-                    ControlFate::Deliver => {
-                        if self.shared.inboxes[idx].send(msg).is_err() {
-                            exited.insert(idx);
-                        }
-                    }
-                    ControlFate::Drop => {}
-                    ControlFate::Delay(d) => timers.push((
-                        Instant::now() + Duration::from_millis(100 * d.max(1)),
-                        idx,
-                        msg,
-                    )),
-                }
+                progress.send(shared, ControlClass::SendReconf, idx, msg);
             }
 
-            // ④ collect acks until the deadline, delivering queued
-            // delayed messages as they come due.
-            while !staged_done(&acked, &applied, &exited) {
-                deliver_due_timers(&self.shared, &mut timers, &applied, &mut exited);
-                let now = Instant::now();
-                let Some(left) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                let wait = next_timer_due(&timers)
-                    .map_or(left, |due| due.saturating_duration_since(now).min(left));
-                match self.coord_rx.recv_timeout(wait) {
-                    Ok(CoordMsg::Ack(idx)) => {
-                        acked.insert(idx);
-                    }
-                    Ok(CoordMsg::Applied(idx)) => {
-                        applied.insert(idx);
-                    }
-                    Ok(CoordMsg::Exited(idx)) => {
-                        exited.insert(idx);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            if !staged_done(&acked, &applied, &exited) {
+            // ④ collect acks until the deadline.
+            let staged = |p: &WaveProgress, i: usize| p.acked.contains(&i) || p.settled(i);
+            if !progress.wait(shared, &self.coord_rx, n, deadline, staged) {
                 continue; // deadline missed in the stage phase: retry
             }
 
@@ -1003,58 +1074,18 @@ impl LiveRuntime {
             // waiting for are lost for good.
             if attempt == 0 {
                 for &root in &self.roots {
-                    match self.control_fate(ControlClass::Propagate) {
-                        ControlFate::Deliver => {
-                            // A dead root is tracked immediately — the
-                            // wave must not wait on its apply.
-                            if self.shared.inboxes[root].send(Msg::Propagate).is_err() {
-                                exited.insert(root);
-                            }
-                        }
-                        ControlFate::Drop => {}
-                        ControlFate::Delay(d) => timers.push((
-                            Instant::now() + Duration::from_millis(100 * d.max(1)),
-                            root,
-                            Msg::Propagate,
-                        )),
-                    }
+                    progress.send(shared, ControlClass::Propagate, root, Msg::Propagate);
                 }
             } else {
                 for idx in 0..n {
-                    if !applied.contains(&idx)
-                        && !exited.contains(&idx)
-                        && self.shared.inboxes[idx].send(Msg::ForceApply).is_err()
-                    {
-                        exited.insert(idx);
+                    if !progress.settled(idx) {
+                        progress.deliver(shared, idx, Msg::ForceApply);
                     }
                 }
             }
 
             // ⑥ wait for every instance to apply, until the deadline.
-            while !apply_done(&applied, &exited) {
-                deliver_due_timers(&self.shared, &mut timers, &applied, &mut exited);
-                let now = Instant::now();
-                let Some(left) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                let wait = next_timer_due(&timers)
-                    .map_or(left, |due| due.saturating_duration_since(now).min(left));
-                match self.coord_rx.recv_timeout(wait) {
-                    Ok(CoordMsg::Ack(idx)) => {
-                        acked.insert(idx);
-                    }
-                    Ok(CoordMsg::Applied(idx)) => {
-                        applied.insert(idx);
-                    }
-                    Ok(CoordMsg::Exited(idx)) => {
-                        exited.insert(idx);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            if apply_done(&applied, &exited) {
+            if progress.wait(shared, &self.coord_rx, n, deadline, WaveProgress::settled) {
                 // Bump the routing epoch: span observations recorded
                 // from here on ran under the new tables. Use the
                 // epoch the manager stamped on its tables when
@@ -1066,9 +1097,9 @@ impl LiveRuntime {
                     .filter_map(|(_, _, r)| r.epoch())
                     .max()
                     .unwrap_or(0);
-                let next = (self.shared.epoch.load(Ordering::Relaxed) + 1).max(stamped);
-                self.shared.epoch.store(next, Ordering::Relaxed);
-                return if exited.is_empty() {
+                let next = (shared.epoch.load(Ordering::Relaxed) + 1).max(stamped);
+                shared.epoch.store(next, Ordering::Relaxed);
+                return if progress.exited.is_empty() {
                     Ok(())
                 } else {
                     Err(ReconfigError::Nack)
@@ -1170,52 +1201,105 @@ impl LiveRuntime {
     }
 }
 
-/// Delivers every delay-injected control message whose due time has
-/// passed. Timers aimed at an instance that already finished the wave
-/// are dropped (stale); a failed send marks the target as exited so
-/// the wave never waits on a dead instance.
-fn deliver_due_timers(
-    shared: &WorkerShared,
-    timers: &mut Vec<(Instant, usize, Msg)>,
-    applied: &HashSet<usize>,
-    exited: &mut HashSet<usize>,
-) {
-    let now = Instant::now();
-    let mut i = 0;
-    while i < timers.len() {
-        if timers[i].0 > now {
-            i += 1;
-            continue;
+/// The wave driver's view of one reconfiguration: which instances
+/// acked ④, applied or exited, and the delay-injected control messages
+/// held with their real due time in a coordinator-side timer queue
+/// (delivered while the driver waits, so it never sleeps).
+#[derive(Default)]
+struct WaveProgress {
+    acked: HashSet<usize>,
+    applied: HashSet<usize>,
+    exited: HashSet<usize>,
+    timers: Vec<(Instant, usize, Msg)>,
+}
+
+impl WaveProgress {
+    /// `true` once instance `idx` needs nothing more from this wave.
+    fn settled(&self, idx: usize) -> bool {
+        self.applied.contains(&idx) || self.exited.contains(&idx)
+    }
+
+    /// Sends one control message under its injected fate: delivered,
+    /// dropped (a later attempt recovers it) or queued for the injected
+    /// delay.
+    fn send(&mut self, shared: &WorkerShared, class: ControlClass, idx: usize, msg: Msg) {
+        match shared.control_fate(class) {
+            ControlFate::Deliver => self.deliver(shared, idx, msg),
+            ControlFate::Drop => {}
+            ControlFate::Delay(d) => self.timers.push((
+                Instant::now() + Duration::from_millis(100 * d.max(1)),
+                idx,
+                msg,
+            )),
         }
-        let (_, idx, msg) = timers.swap_remove(i);
-        if applied.contains(&idx) || exited.contains(&idx) {
-            continue;
-        }
+    }
+
+    /// Delivers `msg` now. A failed send marks the target exited, so
+    /// the wave never waits on a dead instance.
+    fn deliver(&mut self, shared: &WorkerShared, idx: usize, msg: Msg) {
         if shared.inboxes[idx].send(msg).is_err() {
-            exited.insert(idx);
+            self.exited.insert(idx);
         }
+    }
+
+    /// Collects worker notifications until `done` holds for all `n`
+    /// instances or `deadline` passes, delivering delayed messages as
+    /// they come due (those aimed at a settled instance are stale and
+    /// dropped). Returns whether `done` holds.
+    fn wait(
+        &mut self,
+        shared: &WorkerShared,
+        rx: &Receiver<CoordMsg>,
+        n: usize,
+        deadline: Instant,
+        done: impl Fn(&Self, usize) -> bool,
+    ) -> bool {
+        let all_done = |p: &Self| (0..n).all(|i| done(p, i));
+        while !all_done(self) {
+            let due: Vec<_> = self.timers.extract_if(.., |t| t.0 <= Instant::now()).collect();
+            for (_, idx, msg) in due {
+                if !self.settled(idx) {
+                    self.deliver(shared, idx, msg);
+                }
+            }
+            let now = Instant::now();
+            let Some(left) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
+            else {
+                break;
+            };
+            let wait = self
+                .timers
+                .iter()
+                .map(|t| t.0)
+                .min()
+                .map_or(left, |due| due.saturating_duration_since(now).min(left));
+            match rx.recv_timeout(wait) {
+                Ok(CoordMsg::Ack(idx)) => {
+                    self.acked.insert(idx);
+                }
+                Ok(CoordMsg::Applied(idx)) => {
+                    self.applied.insert(idx);
+                }
+                Ok(CoordMsg::Exited(idx)) => {
+                    self.exited.insert(idx);
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        all_done(self)
     }
 }
 
-/// Earliest due time among the queued delayed control messages.
-fn next_timer_due(timers: &[(Instant, usize, Msg)]) -> Option<Instant> {
-    timers.iter().map(|t| t.0).min()
-}
-
 fn source_loop(
-    po_idx: usize,
-    instance: usize,
+    mut ctx: WorkerCtx,
     mut gen: Box<dyn TupleSource>,
     rate: SourceRate,
     shared: Arc<WorkerShared>,
-    successors: Vec<usize>,
     rx: Receiver<Msg>,
 ) -> InstanceReport {
-    let mut ctx = WorkerCtx::new(po_idx, instance, &shared);
-    let my_idx = ctx.my_idx;
     let mut emitted = 0u64;
     let mut stage: Vec<Tuple> = Vec::with_capacity(64);
-    let mut staged: Option<RouterUpdates> = None;
     let mut down = false;
     let batch_sleep = match rate {
         SourceRate::Saturate => None,
@@ -1227,36 +1311,13 @@ fn source_loop(
         // Participate in the control plane between batches.
         while let Ok(msg) = rx.try_recv() {
             match msg {
-                Msg::Reconf { routers, .. } => {
-                    ctx.flush_outputs(&shared, true);
-                    staged = Some(routers);
-                    let _ = shared.coord.send(CoordMsg::Ack(my_idx));
-                }
-                Msg::Propagate | Msg::ForceApply => {
-                    // Tuples routed under the old tables must reach
-                    // their destinations before the wave does.
-                    ctx.flush_outputs(&shared, true);
-                    if let Some(routers) = staged.take() {
-                        for (edge, router) in routers {
-                            ctx.overrides.insert(edge.index(), router);
-                        }
-                    }
-                    for &succ in &successors {
-                        let _ = shared.inboxes[succ].send(Msg::Propagate);
-                    }
-                    let _ = shared.coord.send(CoordMsg::Applied(my_idx));
-                }
-                Msg::StateProbe(reply) => {
-                    ctx.flush_outputs(&shared, true);
-                    let _ = reply.send(HashMap::new());
-                }
                 // A crashed source stays down: restarting the
                 // generator would replay its whole stream.
                 Msg::Crash { .. } => {
                     ctx.discard_outputs();
                     down = true;
                 }
-                Msg::Data { .. } | Msg::Batch { .. } | Msg::Migrate { .. } | Msg::Eos => {}
+                msg => ctx.on_control(msg, &shared, None),
             }
         }
         if down || shared.stop.load(Ordering::Relaxed) {
@@ -1280,7 +1341,7 @@ fn source_loop(
         // once, before entering the data plane. Sampling is decided on
         // the field the (first) fields-grouped out edge routes on.
         if let Some(sampler) = &shared.sampler {
-            if let Some(field) = shared.outs[po_idx].iter().find_map(|o| o.field) {
+            if let Some(field) = shared.outs[ctx.po_idx].iter().find_map(|o| o.field) {
                 sampler.stamp_batch(&mut stage, field, span_now_ns(&shared.clock));
             }
         }
@@ -1299,43 +1360,9 @@ fn source_loop(
     // Serve any control messages already queued (common race: a wave
     // started just as the stream ran dry), then announce the exit.
     while let Ok(msg) = rx.try_recv() {
-        match msg {
-            Msg::Reconf { routers, .. } => {
-                staged = Some(routers);
-                let _ = shared.coord.send(CoordMsg::Ack(my_idx));
-            }
-            Msg::Propagate | Msg::ForceApply => {
-                ctx.flush_outputs(&shared, true);
-                if let Some(routers) = staged.take() {
-                    for (edge, router) in routers {
-                        ctx.overrides.insert(edge.index(), router);
-                    }
-                }
-                for &succ in &successors {
-                    let _ = shared.inboxes[succ].send(Msg::Propagate);
-                }
-                let _ = shared.coord.send(CoordMsg::Applied(my_idx));
-            }
-            Msg::StateProbe(reply) => {
-                let _ = reply.send(HashMap::new());
-            }
-            Msg::Data { .. } | Msg::Batch { .. } | Msg::Migrate { .. } | Msg::Eos
-            | Msg::Crash { .. } => {}
-        }
+        ctx.on_control(msg, &shared, None);
     }
-    // The last partial batches must precede the end-of-stream tokens
-    // in every destination channel (per-sender FIFO).
-    ctx.flush_outputs(&shared, true);
-    for &succ in &successors {
-        let _ = shared.inboxes[succ].send(Msg::Eos);
-    }
-    let _ = shared.coord.send(CoordMsg::Exited(my_idx));
-    InstanceReport {
-        po: PoId(po_idx),
-        instance,
-        state: HashMap::new(),
-        processed: emitted,
-    }
+    ctx.exit(&shared, HashMap::new(), emitted)
 }
 
 /// An operator instance's data plane: its keyed state, the
@@ -1498,47 +1525,12 @@ impl OperatorCore {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn operator_loop(
-    po_idx: usize,
-    instance: usize,
-    op: Box<dyn Operator>,
-    stateful: bool,
-    state_field: Option<usize>,
-    pred_instances: usize,
-    successors: Vec<usize>,
-    observers: Vec<(EdgeId, usize, Box<dyn PairObserver>)>,
+    mut ctx: WorkerCtx,
+    mut core: OperatorCore,
     shared: Arc<WorkerShared>,
     rx: Receiver<Msg>,
 ) -> InstanceReport {
-    let mut ctx = WorkerCtx::new(po_idx, instance, &shared);
-    let my_idx = ctx.my_idx;
-    let mut core = OperatorCore {
-        op,
-        stateful,
-        state_field,
-        state: HashMap::new(),
-        pending: HashMap::new(),
-        departed: HashMap::new(),
-        observers: {
-            let mut map: ObserverSlots = HashMap::new();
-            for (e, f, o) in observers {
-                map.entry(e.index()).or_default().push((f, o));
-            }
-            map
-        },
-        emitted: Vec::new(),
-        processed: 0,
-        span_rec: shared
-            .sampler
-            .map(|_| SpanRecorder::new(shared.span_metrics.clone())),
-        is_sink: shared.outs[po_idx].is_empty(),
-        sampled: Vec::new(),
-    };
-
-    // Reconfiguration runtime.
-    let mut staged: Option<(RouterUpdates, Vec<(Key, usize)>)> = None;
-    let mut awaiting = 0usize;
     let mut eos_seen = 0usize;
 
     // Once every predecessor `Eos` is in but keys are still buffered
@@ -1572,67 +1564,6 @@ fn operator_loop(
         match msg {
             Msg::Data(tuple) => core.process(std::slice::from_ref(&tuple), &mut ctx, &shared),
             Msg::Batch(tuples) => core.process(&tuples, &mut ctx, &shared),
-            Msg::Reconf {
-                routers,
-                send,
-                receive,
-            } => {
-                ctx.flush_outputs(&shared, true);
-                core.departed.clear();
-                for key in receive {
-                    core.pending.entry(key).or_default();
-                }
-                awaiting = pred_instances.max(1);
-                staged = Some((routers, send));
-                let _ = shared.coord.send(CoordMsg::Ack(my_idx));
-            }
-            m @ (Msg::Propagate | Msg::ForceApply) => {
-                // ForceApply is the wave driver's retry path: apply
-                // regardless of how many predecessor propagates are
-                // still outstanding (they were lost for good).
-                if matches!(m, Msg::ForceApply) {
-                    awaiting = awaiting.min(1);
-                }
-                awaiting = awaiting.saturating_sub(1);
-                if awaiting == 0 {
-                    if let Some((routers, send)) = staged.take() {
-                        // Flush before switching tables and forwarding
-                        // the wave: buffered tuples were routed under
-                        // the old configuration and must stay ahead of
-                        // the `Propagate`s in every channel.
-                        ctx.flush_outputs(&shared, true);
-                        for (edge, router) in routers {
-                            ctx.overrides.insert(edge.index(), router);
-                        }
-                        for (key, dest) in send {
-                            let moved = core.state.remove(&key);
-                            core.departed.insert(key, dest);
-                            let fate = shared
-                                .fault
-                                .lock()
-                                .as_mut()
-                                .map_or(ControlFate::Deliver, |inj| {
-                                    inj.on_control(ControlClass::Migrate)
-                                });
-                            // A dropped ⑥ loses the moved state (at-
-                            // most-once); the new owner adopts the key
-                            // with fresh state when it drains.
-                            if !matches!(fate, ControlFate::Drop) {
-                                shared.hot.migrations_sent.inc();
-                                shared.hot.migration_bytes.add(
-                                    moved.as_ref().map_or(0, StateValue::size_bytes),
-                                );
-                                let _ = shared.inboxes[dest]
-                                    .send(Msg::Migrate { key, state: moved });
-                            }
-                        }
-                        for &succ in &successors {
-                            let _ = shared.inboxes[succ].send(Msg::Propagate);
-                        }
-                        let _ = shared.coord.send(CoordMsg::Applied(my_idx));
-                    }
-                }
-            }
             Msg::Migrate { key, state: moved } => {
                 if let Some(moved) = moved {
                     core.state.insert(key, moved);
@@ -1640,25 +1571,8 @@ fn operator_loop(
                 if let Some(buffered) = core.pending.remove(&key) {
                     core.process(&buffered, &mut ctx, &shared);
                 }
-                if draining && core.pending.values().all(Vec::is_empty) {
-                    break;
-                }
             }
-            Msg::Eos => {
-                eos_seen += 1;
-                if eos_seen >= pred_instances {
-                    if core.pending.values().all(Vec::is_empty) {
-                        break;
-                    }
-                    draining = true;
-                }
-            }
-            Msg::StateProbe(reply) => {
-                // Checkpoint boundary: buffered output is handed off
-                // before the state snapshot is taken.
-                ctx.flush_outputs(&shared, true);
-                let _ = reply.send(core.state.clone());
-            }
+            Msg::Eos => eos_seen += 1,
             Msg::Crash { restore } => {
                 // Everything volatile is lost; respawn from the
                 // checkpoint the coordinator carried over.
@@ -1666,8 +1580,8 @@ fn operator_loop(
                 core.state = restore;
                 core.pending.clear();
                 core.departed.clear();
-                staged = None;
-                awaiting = 0;
+                ctx.staged = None;
+                ctx.awaiting = 0;
                 // Queued messages die with the instance — except the
                 // stream-lifecycle `Eos` tokens (a respawned instance
                 // still knows its predecessors finished) and state
@@ -1681,13 +1595,16 @@ fn operator_loop(
                         _ => {}
                     }
                 }
-                if eos_seen >= pred_instances {
-                    if core.pending.values().all(Vec::is_empty) {
-                        break;
-                    }
-                    draining = true;
-                }
             }
+            msg => ctx.on_control(msg, &shared, Some(&mut core)),
+        }
+        // Every predecessor finished: exit, or drain while keys still
+        // await their migrated state.
+        if eos_seen >= ctx.preds {
+            if core.pending.values().all(Vec::is_empty) {
+                break;
+            }
+            draining = true;
         }
     }
     // Adopt keys still buffered for a `Migrate` that never came (lost
@@ -1704,19 +1621,7 @@ fn operator_loop(
         let buffered = core.pending.remove(&key).unwrap_or_default();
         core.process(&buffered, &mut ctx, &shared);
     }
-    // Per-sender FIFO: the final partial batches precede this
-    // instance's `Eos` tokens.
-    ctx.flush_outputs(&shared, true);
-    for &succ in &successors {
-        let _ = shared.inboxes[succ].send(Msg::Eos);
-    }
-    let _ = shared.coord.send(CoordMsg::Exited(my_idx));
-    InstanceReport {
-        po: PoId(po_idx),
-        instance,
-        state: core.state,
-        processed: core.processed,
-    }
+    ctx.exit(&shared, core.state, core.processed)
 }
 
 #[cfg(test)]

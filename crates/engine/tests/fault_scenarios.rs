@@ -332,6 +332,38 @@ fn live_wave_retries_after_lost_send_reconf() {
     assert_eq!(a_processed, total);
 }
 
+/// Lost root ⑤ `PROPAGATE`: one source never hears the wave release,
+/// so it and everything downstream of it miss the first deadline. The
+/// retry force-applies at each straggler, the source included; the
+/// wave completes and both stages process every tuple.
+#[test]
+fn live_wave_recovers_from_dropped_root_propagate() {
+    let total = 60_000u64;
+    let (topo, s, a, hop) = live_chain(total, 10_000.0);
+    let placement = Placement::aligned(&topo, PARALLELISM);
+    let rt = LiveRuntime::start(topo, placement, PARALLELISM, LiveConfig::default());
+    rt.install_fault_plan(FaultPlan::new().with(FaultEvent::DropControl {
+        class: ControlClass::Propagate,
+        occurrence: 0,
+    }));
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let wave = WaveConfig {
+        deadline_windows: 3,
+        max_retries: 2,
+        backoff: 1,
+    };
+    rt.reconfigure_with_deadline(live_modulo_plan(s, a, hop), wave)
+        .expect("force-apply must recover the lost root propagate");
+    let mut processed: HashMap<PoId, u64> = HashMap::new();
+    for r in rt.join().iter().filter(|r| r.po != s) {
+        *processed.entry(r.po).or_default() += r.processed;
+    }
+    assert_eq!(processed.len(), 2, "A and B both report");
+    for (po, n) in processed {
+        assert_eq!(n, total, "{po:?}");
+    }
+}
+
 /// An injected ③ `SEND_RECONF` delay must be honored to its configured
 /// duration (here 2 windows = 200 ms), not a fixed 50 ms: the staged
 /// acks cannot all arrive before the delayed message is delivered, so
