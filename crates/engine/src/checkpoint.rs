@@ -177,12 +177,13 @@ impl Simulation {
             .zip(checkpoint.states.iter().zip(&checkpoint.routers))
         {
             dropped += poi.input.len() as i64;
-            dropped += poi.pending.values().map(|b| b.len() as i64).sum::<i64>();
+            dropped += poi
+                .wave
+                .reset()
+                .values()
+                .map(|b| b.len() as i64)
+                .sum::<i64>();
             poi.input.clear();
-            poi.pending.clear();
-            poi.departed.clear();
-            poi.staged = None;
-            poi.awaiting_propagates = 0;
             poi.state = state.clone();
             for (edge, router) in routers {
                 for out in poi.out.iter_mut() {

@@ -72,6 +72,7 @@ mod router;
 mod sim;
 mod topology;
 mod tuple;
+mod wave;
 
 pub use checkpoint::{CheckpointError, ClusterCheckpoint};
 pub use cluster::ClusterSpec;

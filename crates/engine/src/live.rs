@@ -6,13 +6,13 @@
 //! The simulator (`sim.rs`) answers *performance* questions with a
 //! controlled cost model; this runtime answers *functional* ones — it
 //! executes user operators for real, under real thread interleavings,
-//! with real backpressure. The reconfiguration wave (SEND_RECONF →
-//! ACK → PROPAGATE → MIGRATE with tuple buffering) is the same
-//! algorithm, here exercised against genuine concurrency instead of
-//! deterministic windows. "Servers" are placement tags: transfers
-//! between instances with different tags are counted as remote, so
-//! locality statistics remain meaningful even though everything runs
-//! in one process.
+//! with real backpressure. Each instance runs the reconfiguration wave
+//! (SEND_RECONF → ACK → PROPAGATE → MIGRATE with tuple buffering) on
+//! the same sans-IO `WaveParticipant` as the simulator, here against
+//! genuine concurrency instead of deterministic windows. "Servers" are
+//! placement tags: transfers between instances with different tags are
+//! counted as remote, so locality statistics remain meaningful even
+//! though everything runs in one process.
 //!
 //! Termination is by end-of-stream tokens: an exhausted (or stopped)
 //! source sends `Eos` to every successor instance; an operator
@@ -35,14 +35,12 @@ use crate::fault::{ControlClass, ControlFate, FaultInjector, FaultPlan};
 use crate::key::Key;
 use crate::obs::{Counter, MetricsRegistry, SpanRecorder, SpanSampler};
 use crate::operator::{OpContext, Operator, StateValue};
-use crate::reconfig::{ReconfigError, WaveConfig};
-
-/// Per-edge router updates carried by a `Reconf` message.
-type RouterUpdates = Vec<(EdgeId, Arc<dyn KeyRouter>)>;
+use crate::reconfig::{ReconfigError, ReconfigPlan, WaveConfig};
 use crate::router::{DestRun, HashRouter, KeyRouter};
 use crate::sim::{PairObserver, Placement};
-use crate::topology::{EdgeId, Grouping, PoId, PoKind, SourceRate, Topology, TupleSource};
+use crate::topology::{EdgeId, Grouping, PoId, PoKind, PoiId, SourceRate, Topology, TupleSource};
 use crate::tuple::{tuple_run_len, Tuple};
+use crate::wave::{StagedReconf, WaveParticipant};
 
 /// Messages on an instance's inbox. Data and control share one FIFO
 /// channel per receiver (like a TCP connection in Storm), so per-
@@ -55,11 +53,7 @@ enum Msg {
     /// order, so FIFO semantics are identical to `len()` `Data`s.
     Batch(Vec<Tuple>),
     /// ③ New configuration for this instance.
-    Reconf {
-        routers: RouterUpdates,
-        send: Vec<(Key, usize)>,
-        receive: Vec<Key>,
-    },
+    Reconf(StagedReconf),
     /// ⑤ One predecessor instance (or the coordinator) has switched.
     Propagate,
     /// ⑥ Migrated state for a key this instance now owns.
@@ -116,6 +110,28 @@ pub struct LiveReconfig {
     pub routers: Vec<(PoId, EdgeId, Arc<dyn KeyRouter>)>,
     /// `(operator, key, old instance, new instance)` state transfers.
     pub migrations: Vec<(PoId, Key, usize, usize)>,
+}
+
+impl LiveReconfig {
+    /// This plan in global instance coordinates: instance `i` of
+    /// operator `po` is `poi_base[po] + i`.
+    fn to_plan(&self, poi_base: &[usize], parallelism: &[usize]) -> ReconfigPlan {
+        let poi = |po: PoId, i: usize| {
+            let range = 0..parallelism[po.index()];
+            assert!(range.contains(&i), "migration instance out of range");
+            PoiId(poi_base[po.index()] + i)
+        };
+        let routers = self.routers.iter().flat_map(|(po, edge, router)| {
+            (0..parallelism[po.index()]).map(move |i| (poi(*po, i), *edge, Arc::clone(router)))
+        });
+        let migrations = self.migrations.iter();
+        ReconfigPlan {
+            routers: routers.collect(),
+            migrations: migrations
+                .map(|&(po, key, old, new)| (poi(po, old), key, poi(po, new)))
+                .collect(),
+        }
+    }
 }
 
 impl std::fmt::Debug for LiveReconfig {
@@ -335,14 +351,9 @@ struct WorkerCtx {
     /// Global indices of every successor instance; `Propagate` and
     /// `Eos` go to each.
     successors: Vec<usize>,
-    /// Predecessor instances (0 for a source).
-    preds: usize,
-    /// The staged ③ configuration: router overrides and the
-    /// `(key, new owner)` states to ship when it applies.
-    staged: Option<(RouterUpdates, Vec<(Key, usize)>)>,
-    /// ⑤ propagates still missing before the staged configuration
-    /// applies.
-    awaiting: usize,
+    /// This instance's side of the reconfiguration wave, including the
+    /// data plane's `pending` buffers and `departed` forwards.
+    wave: WaveParticipant<Vec<Tuple>>,
     rr: usize,
     overrides: HashMap<usize, Arc<dyn KeyRouter>>,
     /// Round-robin destinations per out edge (instance indices within
@@ -396,9 +407,7 @@ impl WorkerCtx {
             po_idx,
             my_idx,
             successors,
-            preds,
-            staged: None,
-            awaiting: 0,
+            wave: WaveParticipant::new(preds),
             rr: instance,
             overrides: HashMap::new(),
             shuffle_targets,
@@ -440,50 +449,28 @@ impl WorkerCtx {
         }
     }
 
-    /// The wave-participant routine (paper §3.4), one rule for sources
-    /// and operators. ③ `Reconf` stages the new configuration and acks
-    /// ④. The last ⑤ `Propagate` from the predecessors (a root waits
-    /// for the coordinator's single one), or a `ForceApply` (the wave
-    /// driver's retry), applies it: flush, install the router
-    /// overrides, ship ⑥ `Migrate` for every moved key, forward ⑤ to
-    /// every successor, report `Applied`. A `Propagate` with nothing
-    /// staged is ignored. `StateProbe` is answered with a snapshot of
-    /// the keyed state.
-    ///
-    /// `core` is the operator's keyed state. A source passes `None`:
-    /// its ship list is always empty and it probes as an empty map.
-    /// Messages outside the wave protocol are ignored here; operators
-    /// handle them before calling in.
-    fn on_control(&mut self, msg: Msg, shared: &WorkerShared, core: Option<&mut OperatorCore>) {
+    /// The wave I/O (paper §3.4) around the shared [`WaveParticipant`],
+    /// for sources and operators. ③ `Reconf`: flush, stage, ack ④. When
+    /// a ⑤ `Propagate` or `ForceApply` applies the staged configuration:
+    /// flush, install the routers, ship ⑥ `Migrate` for every moved
+    /// key, forward ⑤ to every successor, report `Applied`. `StateProbe`
+    /// gets a snapshot of `state`, the operator's keyed state; a source
+    /// passes `None`, ships nothing and probes empty. Other messages are
+    /// ignored here.
+    fn on_control(
+        &mut self,
+        msg: Msg,
+        shared: &WorkerShared,
+        state: Option<&mut HashMap<Key, StateValue>>,
+    ) {
         match msg {
-            Msg::Reconf {
-                routers,
-                send,
-                receive,
-            } => {
+            Msg::Reconf(staged) => {
                 self.flush_outputs(shared, true);
-                if let Some(core) = core {
-                    core.departed.clear();
-                    for key in receive {
-                        core.pending.entry(key).or_default();
-                    }
-                }
-                self.awaiting = self.preds.max(1);
-                self.staged = Some((routers, send));
+                self.wave.stage(staged);
                 let _ = shared.coord.send(CoordMsg::Ack(self.my_idx));
             }
             m @ (Msg::Propagate | Msg::ForceApply) => {
-                // ForceApply applies regardless of how many predecessor
-                // propagates are still outstanding (they were lost for
-                // good).
-                if matches!(m, Msg::ForceApply) {
-                    self.awaiting = self.awaiting.min(1);
-                }
-                self.awaiting = self.awaiting.saturating_sub(1);
-                if self.awaiting > 0 {
-                    return;
-                }
-                let Some((routers, send)) = self.staged.take() else {
+                let Some(applied) = self.wave.propagate(matches!(m, Msg::ForceApply)) else {
                     return;
                 };
                 // Flush before switching tables and forwarding the
@@ -491,13 +478,12 @@ impl WorkerCtx {
                 // configuration and must stay ahead of the `Propagate`s
                 // in every channel.
                 self.flush_outputs(shared, true);
-                for (edge, router) in routers {
+                for (edge, router) in applied.routers {
                     self.overrides.insert(edge.index(), router);
                 }
-                if let Some(core) = core {
-                    for (key, dest) in send {
-                        let moved = core.state.remove(&key);
-                        core.departed.insert(key, dest);
+                if let Some(state) = state {
+                    for (key, dest) in applied.send {
+                        let moved = state.remove(&key);
                         // A dropped ⑥ loses the moved state (at-most-
                         // once); the new owner adopts the key with
                         // fresh state when it drains.
@@ -509,7 +495,8 @@ impl WorkerCtx {
                             .hot
                             .migration_bytes
                             .add(moved.as_ref().map_or(0, StateValue::size_bytes));
-                        let _ = shared.inboxes[dest].send(Msg::Migrate { key, state: moved });
+                        let msg = Msg::Migrate { key, state: moved };
+                        let _ = shared.inboxes[dest.index()].send(msg);
                     }
                 }
                 for &succ in &self.successors {
@@ -521,7 +508,7 @@ impl WorkerCtx {
                 // Checkpoint boundary: buffered output is handed off
                 // before the state snapshot is taken.
                 self.flush_outputs(shared, true);
-                let _ = reply.send(core.map_or_else(HashMap::new, |core| core.state.clone()));
+                let _ = reply.send(state.map_or_else(HashMap::new, |state| state.clone()));
             }
             Msg::Data(_) | Msg::Batch(_) | Msg::Migrate { .. } | Msg::Eos | Msg::Crash { .. } => {}
         }
@@ -814,13 +801,7 @@ impl LiveRuntime {
             .map(|po_idx| topology.state_field(PoId(po_idx)))
             .collect();
         let pred_instances: Vec<usize> = (0..n_pos)
-            .map(|po_idx| {
-                topology
-                    .in_edges(PoId(po_idx))
-                    .iter()
-                    .map(|&e| parallelism[topology.edge(e).from().index()])
-                    .sum()
-            })
+            .map(|po_idx| topology.predecessor_instances(PoId(po_idx)))
             .collect();
         let succ_instances: Vec<Vec<usize>> = (0..n_pos)
             .map(|po_idx| {
@@ -894,8 +875,6 @@ impl LiveRuntime {
                             stateful: *stateful,
                             state_field: state_fields[po_idx],
                             state: HashMap::new(),
-                            pending: HashMap::new(),
-                            departed: HashMap::new(),
                             observers: observer_map
                                 .remove(&(po_idx, instance))
                                 .unwrap_or_default(),
@@ -973,7 +952,8 @@ impl LiveRuntime {
     ///
     /// Panics if the wave fails — e.g. the pipeline drains (sources
     /// exhaust and instances shut down) while the wave is still
-    /// propagating, or the deadline and every retry are exhausted.
+    /// propagating, or the deadline and every retry are exhausted —
+    /// and on an invalid plan, as [`reconfigure_with_deadline`] does.
     pub fn reconfigure(&self, plan: LiveReconfig) {
         if let Err(e) = self.reconfigure_with_deadline(plan, WaveConfig::default()) {
             panic!("live reconfiguration failed: {e}");
@@ -1008,6 +988,12 @@ impl LiveRuntime {
     /// are exhausted with instances still unapplied;
     /// [`ReconfigError::Nack`] when the wave completed but one or more
     /// participants had exited mid-wave.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before sending anything, if a migration names an
+    /// instance outside its operator. A migration whose old and new
+    /// instance are equal moves nothing and is skipped.
     pub fn reconfigure_with_deadline(
         &self,
         plan: LiveReconfig,
@@ -1015,21 +1001,9 @@ impl LiveRuntime {
     ) -> Result<(), ReconfigError> {
         let n = self.n_instances;
         let shared = &*self.shared;
-        // Pre-split the plan per instance so retries can resend it.
-        let mut routers: Vec<RouterUpdates> = vec![Vec::new(); n];
-        for (po, edge, router) in &plan.routers {
-            let base = shared.poi_base[po.index()];
-            for i in 0..shared.parallelism[po.index()] {
-                routers[base + i].push((*edge, Arc::clone(router)));
-            }
-        }
-        let mut send: Vec<Vec<(Key, usize)>> = vec![Vec::new(); n];
-        let mut receive: Vec<Vec<Key>> = vec![Vec::new(); n];
-        for &(po, key, old, new) in &plan.migrations {
-            let base = shared.poi_base[po.index()];
-            send[base + old].push((key, base + new));
-            receive[base + new].push(key);
-        }
+        let staged = plan
+            .to_plan(&shared.poi_base, &shared.parallelism)
+            .split(&shared.poi_base, n);
 
         let mut progress = WaveProgress::default();
         // Discard coordinator leftovers of earlier waves; exits are
@@ -1054,11 +1028,7 @@ impl LiveRuntime {
                 if progress.settled(idx) {
                     continue;
                 }
-                let msg = Msg::Reconf {
-                    routers: routers[idx].clone(),
-                    send: send[idx].clone(),
-                    receive: receive[idx].clone(),
-                };
+                let msg = Msg::Reconf(staged[idx].clone());
                 progress.send(shared, ControlClass::SendReconf, idx, msg);
             }
 
@@ -1365,20 +1335,13 @@ fn source_loop(
     ctx.exit(&shared, HashMap::new(), emitted)
 }
 
-/// An operator instance's data plane: its keyed state, the
-/// reconfiguration buffers, and the one routine every tuple goes
-/// through ([`process`](Self::process)).
+/// An operator instance's data plane: its keyed state and the one
+/// routine every tuple goes through ([`process`](Self::process)).
 struct OperatorCore {
     op: Box<dyn Operator>,
     stateful: bool,
     state_field: Option<usize>,
     state: HashMap<Key, StateValue>,
-    /// Tuples of keys whose state is migrating to this instance,
-    /// buffered until their `Migrate` arrives.
-    pending: HashMap<Key, Vec<Tuple>>,
-    /// Keys the last applied wave moved away, with the new owner's
-    /// global instance index.
-    departed: HashMap<Key, usize>,
     observers: ObserverSlots,
     /// Output of the current call, routed once at its end.
     emitted: Vec<Tuple>,
@@ -1399,8 +1362,8 @@ impl OperatorCore {
     /// buffered tuples released by `Migrate` or adopted at shutdown.
     ///
     /// Walks `tuples` in runs of equal state key. A run whose key
-    /// awaits migrated state is appended to its `pending` buffer; a run
-    /// whose key `departed` is forwarded to the new owner as one
+    /// awaits migrated state is appended to its wave `pending` buffer;
+    /// a run whose key `departed` is forwarded to the new owner as one
     /// `Msg::Batch` (straight to its inbox: no batch counters, no batch
     /// fault gate); every other run is dispatched through
     /// [`Operator::on_batch`] with one state lookup. The call's output
@@ -1425,12 +1388,12 @@ impl OperatorCore {
             let (run, tail) = rest.split_at(len);
             rest = tail;
             if let Some(key) = key {
-                if let Some(buf) = self.pending.get_mut(&key) {
+                if let Some(buf) = ctx.wave.pending.get_mut(&key) {
                     buf.extend_from_slice(run);
                     continue;
                 }
-                if let Some(&owner) = self.departed.get(&key) {
-                    let _ = shared.inboxes[owner].send(Msg::Batch(run.to_vec()));
+                if let Some(&owner) = ctx.wave.departed.get(&key) {
+                    let _ = shared.inboxes[owner.index()].send(Msg::Batch(run.to_vec()));
                     continue;
                 }
             }
@@ -1568,7 +1531,7 @@ fn operator_loop(
                 if let Some(moved) = moved {
                     core.state.insert(key, moved);
                 }
-                if let Some(buffered) = core.pending.remove(&key) {
+                if let Some(buffered) = ctx.wave.pending.remove(&key) {
                     core.process(&buffered, &mut ctx, &shared);
                 }
             }
@@ -1578,10 +1541,7 @@ fn operator_loop(
                 // checkpoint the coordinator carried over.
                 ctx.discard_outputs();
                 core.state = restore;
-                core.pending.clear();
-                core.departed.clear();
-                ctx.staged = None;
-                ctx.awaiting = 0;
+                ctx.wave.reset();
                 // Queued messages die with the instance — except the
                 // stream-lifecycle `Eos` tokens (a respawned instance
                 // still knows its predecessors finished) and state
@@ -1596,12 +1556,12 @@ fn operator_loop(
                     }
                 }
             }
-            msg => ctx.on_control(msg, &shared, Some(&mut core)),
+            msg => ctx.on_control(msg, &shared, Some(&mut core.state)),
         }
         // Every predecessor finished: exit, or drain while keys still
         // await their migrated state.
-        if eos_seen >= ctx.preds {
-            if core.pending.values().all(Vec::is_empty) {
+        if eos_seen >= ctx.wave.preds {
+            if ctx.wave.pending.values().all(Vec::is_empty) {
                 break;
             }
             draining = true;
@@ -1610,7 +1570,8 @@ fn operator_loop(
     // Adopt keys still buffered for a `Migrate` that never came (lost
     // transfer): their state starts fresh — at-most-once — but no
     // tuple is silently discarded.
-    let mut orphans: Vec<Key> = core
+    let mut orphans: Vec<Key> = ctx
+        .wave
         .pending
         .iter()
         .filter(|(_, buf)| !buf.is_empty())
@@ -1618,7 +1579,7 @@ fn operator_loop(
         .collect();
     orphans.sort_unstable();
     for key in orphans {
-        let buffered = core.pending.remove(&key).unwrap_or_default();
+        let buffered = ctx.wave.pending.remove(&key).unwrap_or_default();
         core.process(&buffered, &mut ctx, &shared);
     }
     ctx.exit(&shared, core.state, core.processed)
@@ -2240,6 +2201,47 @@ mod tests {
         let snapshot = rt.probe_state(PoId(1), 0).expect("instance alive");
         assert!(snapshot.get(&Key::new(1)).and_then(StateValue::as_count) > Some(0));
         rt.stop();
+        let _ = rt.join();
+    }
+
+    #[test]
+    fn live_self_migrations_are_no_ops() {
+        // Every key listed, moved or not: an `old == new` entry must
+        // not make the key "departed" to its own instance.
+        let (n, keys, total) = (3, 12, 12_000u64);
+        let topo = paced_chain(n, keys, total, 50_000.0);
+        let placement = Placement::aligned(&topo, n);
+        let rt = LiveRuntime::start(topo, placement, n, LiveConfig::default());
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let migrations: Vec<(PoId, Key, usize, usize)> = (0..keys)
+            .map(|k| {
+                let key = Key::new(k);
+                let old = HashRouter.route(key, n) as usize;
+                (PoId(2), key, old, (k % n as u64) as usize)
+            })
+            .collect();
+        assert!(migrations.iter().any(|&(_, _, old, new)| old == new));
+        rt.reconfigure(LiveReconfig {
+            routers: vec![(PoId(1), EdgeId(1), Arc::new(ModuloRouter))],
+            migrations,
+        });
+        let reports = rt.join();
+        let counted: u64 = counts_of(&reports, PoId(2)).values().sum();
+        assert_eq!(counted, total, "self-migrated keys lost tuples");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn live_migration_out_of_range_panics() {
+        // Instances 3 and 4 of the 3-instance A would land on B0 and
+        // B1 in global coordinates: B0 would ship its own state.
+        let topo = paced_chain(3, 9, 3_000, 50_000.0);
+        let placement = Placement::aligned(&topo, 3);
+        let rt = LiveRuntime::start(topo, placement, 3, LiveConfig::default());
+        rt.reconfigure(LiveReconfig {
+            routers: Vec::new(),
+            migrations: vec![(PoId(1), Key::new(0), 3, 4)],
+        });
         let _ = rt.join();
     }
 }

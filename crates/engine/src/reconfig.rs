@@ -13,8 +13,8 @@
 //! [`PairObserver`](crate::PairObserver)s):
 //!
 //! * ③ `SEND_RECONF` — every POI receives its routing-table update,
-//!   send list and receive list; it immediately starts buffering
-//!   tuples for receive-list keys.
+//!   send list and receive list ([`ReconfigPlan::split`]); it
+//!   immediately starts buffering tuples for receive-list keys.
 //! * ④ `ACK_RECONF` — modeled by the executor counting staged POIs.
 //! * ⑤ `PROPAGATE` — once all POIs acked, the manager propagates to
 //!   the source POIs; each POI that has received a propagate from
@@ -22,11 +22,17 @@
 //!   routing table, ships reassigned key state (⑥ `MIGRATE`) to the
 //!   new owners, and forwards the propagate wave downstream.
 //!
+//! The per-POI rule is the sans-IO [`WaveParticipant`], shared with the
+//! live runtime. This module holds the simulator's I/O around it
+//! (control queue, tracing, NIC charging) and its coordinator.
+//!
 //! Data streams are never suspended. A tuple reaching the new owner of
 //! a key before that key's state arrives is buffered (Algorithm 1's
 //! buffering rule); a tuple reaching the *old* owner after its state
 //! departed — possible because in-flight tuples are not flushed — is
 //! forwarded to the new owner, preserving exactly-once state updates.
+//!
+//! [`WaveParticipant`]: crate::wave::WaveParticipant
 
 use std::collections::HashMap;
 use std::fmt;
@@ -40,6 +46,7 @@ use crate::operator::StateValue;
 use crate::router::{HashRouter, KeyRouter};
 use crate::sim::{LostMigration, NetMsg, NetPayload, OutKind, Simulation};
 use crate::topology::{EdgeId, Grouping, PoId, PoiId};
+use crate::wave::StagedReconf;
 
 /// How many times a dropped ⑥ `MIGRATE` message is retransmitted
 /// before the engine recovers the state out of band (from its
@@ -157,13 +164,6 @@ impl Default for WaveConfig {
     }
 }
 
-/// The per-POI payload of a ③ `SEND_RECONF` message.
-pub(crate) struct StagedReconf {
-    pub(crate) routers: Vec<(EdgeId, Arc<dyn KeyRouter>)>,
-    pub(crate) send: Vec<(Key, PoiId)>,
-    pub(crate) receive: Vec<Key>,
-}
-
 /// Control-plane messages exchanged during a wave.
 pub(crate) enum ControlMsg {
     Reconf(StagedReconf),
@@ -217,6 +217,11 @@ impl Simulation {
     /// # Errors
     ///
     /// Same as [`start_reconfiguration`](Self::start_reconfiguration).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a migration names an unknown instance or moves state
+    /// between instances of different operators.
     pub fn start_reconfiguration_with(
         &mut self,
         plan: ReconfigPlan,
@@ -225,13 +230,7 @@ impl Simulation {
         if self.reconfig.is_some() || self.manager_down {
             return Err(ReconfigInProgress);
         }
-        for &(from, _, to) in &plan.migrations {
-            assert_eq!(
-                self.pois[from.index()].po,
-                self.pois[to.index()].po,
-                "state migrates between instances of one operator"
-            );
-        }
+        let staged = plan.split(&self.poi_base, self.pois.len());
         let pre_wave_routers = self.snapshot_routers();
         let deadline = self.window_index + wave.deadline_windows.max(2);
         let wave_id = self.wave_seq;
@@ -255,7 +254,7 @@ impl Simulation {
                 },
             );
         }
-        self.enqueue_wave(&plan);
+        self.enqueue_reconfs(staged);
         self.reconfig = Some(ReconfigExec {
             acks_pending: self.pois.len(),
             applies_pending: self.pois.len(),
@@ -271,29 +270,12 @@ impl Simulation {
         Ok(())
     }
 
-    /// Enqueues the ③ `SEND_RECONF` messages of `plan` for delivery at
-    /// the next window.
-    fn enqueue_wave(&mut self, plan: &ReconfigPlan) {
-        let n = self.pois.len();
-        let mut routers: Vec<Vec<(EdgeId, Arc<dyn KeyRouter>)>> = vec![Vec::new(); n];
-        for (poi, edge, router) in &plan.routers {
-            routers[poi.index()].push((*edge, Arc::clone(router)));
-        }
-        let mut send: Vec<Vec<(Key, PoiId)>> = vec![Vec::new(); n];
-        let mut receive: Vec<Vec<Key>> = vec![Vec::new(); n];
-        for &(from, key, to) in &plan.migrations {
-            send[from.index()].push((key, to));
-            receive[to.index()].push(key);
-        }
-        let due = self.window_index; // delivered at the next step (1 hop)
-        for idx in (0..n).rev() {
-            let staged = StagedReconf {
-                routers: std::mem::take(&mut routers[idx]),
-                send: std::mem::take(&mut send[idx]),
-                receive: std::mem::take(&mut receive[idx]),
-            };
-            self.control_queue.push((due, idx, ControlMsg::Reconf(staged)));
-        }
+    /// Queues every POI's ③ `SEND_RECONF` for the next window (1 hop).
+    fn enqueue_reconfs(&mut self, staged: Vec<StagedReconf>) {
+        let due = self.window_index;
+        let msgs = staged.into_iter().enumerate().rev();
+        self.control_queue
+            .extend(msgs.map(|(idx, s)| (due, idx, ControlMsg::Reconf(s))));
     }
 
     /// Every POI's current fields routers (rollback snapshot).
@@ -322,7 +304,7 @@ impl Simulation {
     /// flight).
     #[must_use]
     pub fn pending_migrations(&self) -> usize {
-        self.pois.iter().map(|p| p.pending.len()).sum()
+        self.pois.iter().map(|p| p.wave.pending.len()).sum()
     }
 
     /// Processes every control message due at the current window.
@@ -375,115 +357,63 @@ impl Simulation {
             match msg {
                 ControlMsg::Reconf(staged) => {
                     self.trace(self.active_wave(), TraceEventKind::SendReconf { poi });
-                    self.handle_reconf(poi, staged, now);
+                    // ③/④: stage and ack, unless the wave was rolled back.
+                    let Some(exec) = self.reconfig.as_mut() else {
+                        continue;
+                    };
+                    self.pois[poi].wave.stage(staged);
+                    exec.acks_pending = exec.acks_pending.saturating_sub(1);
+                    let (wave_id, acks_pending) = (exec.wave_id, exec.acks_pending);
+                    let ack = TraceEventKind::AckReconf { poi, acks_pending };
+                    self.trace(Some(wave_id), ack);
+                    // ⑤: all acks received; propagate to the root
+                    // operators. A dead manager cannot release the wave
+                    // — the deadline will roll it back instead.
+                    if acks_pending == 0 && !self.manager_down {
+                        for po in 0..self.topo.pos.len() {
+                            if self.topo.in_edges[po].is_empty() {
+                                self.propagate_to(PoId(po), now + 1);
+                            }
+                        }
+                    }
                 }
                 ControlMsg::Propagate => {
                     self.trace(self.active_wave(), TraceEventKind::Propagate { poi });
-                    self.handle_propagate(poi, now, wm);
+                    let Some(applied) = self.pois[poi].wave.propagate(false) else {
+                        continue;
+                    };
+                    self.trace(self.active_wave(), TraceEventKind::WaveApplied { poi });
+                    for (edge, router) in applied.routers {
+                        self.set_poi_router(PoiId(poi), edge, router);
+                    }
+                    // ⑥: ship the state of reassigned keys.
+                    for (key, dest) in applied.send {
+                        let state = self.pois[poi].state.remove(&key);
+                        self.send_migration_attempt(poi, dest.index(), key, state, 0, wm);
+                    }
+                    let po = self.pois[poi].po.index();
+                    for e in self.topo.out_edges[po].clone() {
+                        self.propagate_to(self.topo.edges[e.index()].to, now + 1);
+                    }
+                    self.count_apply(now);
                 }
             }
         }
     }
 
-    /// ③/④: stage the new configuration, start buffering, ack.
-    /// Tolerates stale messages: a `Reconf` arriving after the wave
-    /// was rolled back is ignored.
-    fn handle_reconf(&mut self, idx: usize, staged: StagedReconf, now: u64) {
-        if self.reconfig.is_none() {
-            return; // stale message from an aborted wave
-        }
-        {
-            let poi = &mut self.pois[idx];
-            // Stragglers from the previous reconfiguration are assumed
-            // drained by the time the next wave starts.
-            poi.departed.clear();
-            for &key in &staged.receive {
-                poi.pending.entry(key).or_default();
-            }
-            let pred: usize = self.topo.in_edges[poi.po.index()]
-                .iter()
-                .map(|&e| self.topo.pos[self.topo.edges[e.index()].from.index()].parallelism)
-                .sum();
-            // Root operators receive the manager's single propagate.
-            poi.awaiting_propagates = pred.max(1);
-            poi.staged = Some(staged);
-        }
-        let manager_down = self.manager_down;
-        let exec = self.reconfig.as_mut().expect("checked above");
-        exec.acks_pending = exec.acks_pending.saturating_sub(1);
-        let (wave_id, acks_pending) = (exec.wave_id, exec.acks_pending);
-        self.trace(
-            Some(wave_id),
-            TraceEventKind::AckReconf {
-                poi: idx,
-                acks_pending,
-            },
-        );
-        let exec = self.reconfig.as_mut().expect("checked above");
-        if exec.acks_pending == 0 && !manager_down {
-            // ⑤: all acks received; propagate to the root operators.
-            // A dead manager cannot release the wave — the deadline
-            // will roll it back instead.
-            let roots: Vec<usize> = (0..self.topo.pos.len())
-                .filter(|&po| self.topo.in_edges[po].is_empty())
-                .flat_map(|po| {
-                    let base = self.poi_base[po];
-                    (0..self.topo.pos[po].parallelism).map(move |i| base + i)
-                })
-                .collect();
-            for poi in roots {
-                self.control_queue.push((now + 1, poi, ControlMsg::Propagate));
-            }
+    /// Queues a ⑤ `PROPAGATE` to every instance of `po`, due at `due`.
+    fn propagate_to(&mut self, po: PoId, due: u64) {
+        let base = self.poi_base[po.index()];
+        for poi in base..base + self.topo.pos[po.index()].parallelism {
+            self.control_queue.push((due, poi, ControlMsg::Propagate));
         }
     }
 
-    /// ⑤/⑥: count propagates; on the last one, apply the staged
-    /// configuration, migrate state, forward the wave. Duplicate or
-    /// stale propagates (possible after crashes, delays and wave
-    /// restarts) are ignored instead of corrupting the count.
-    fn handle_propagate(&mut self, idx: usize, now: u64, wm: &mut WindowMetrics) {
-        {
-            let poi = &mut self.pois[idx];
-            if poi.awaiting_propagates == 0 {
-                return; // duplicate or stale propagate
-            }
-            poi.awaiting_propagates -= 1;
-            if poi.awaiting_propagates > 0 {
-                return;
-            }
-        }
-        let Some(staged) = self.pois[idx].staged.take() else {
-            return; // staged config lost (e.g. the instance crashed)
-        };
-        self.trace(self.active_wave(), TraceEventKind::WaveApplied { poi: idx });
-
-        // Swap in the new routing tables.
-        for (edge, router) in staged.routers {
-            self.set_poi_router(PoiId(idx), edge, router);
-        }
-
-        // ⑥: ship the state of reassigned keys to their new owners.
-        for (key, dest) in staged.send {
-            let state = self.pois[idx].state.remove(&key);
-            self.pois[idx].departed.insert(key, dest);
-            self.send_migration(idx, dest.index(), key, state, wm);
-        }
-
-        // Forward the wave to every instance of every successor.
-        let successors: Vec<usize> = self.topo.out_edges[self.pois[idx].po.index()]
-            .iter()
-            .flat_map(|&e| {
-                let to = self.topo.edges[e.index()].to;
-                let base = self.poi_base[to.index()];
-                (0..self.topo.pos[to.index()].parallelism).map(move |i| base + i)
-            })
-            .collect();
-        for poi in successors {
-            self.control_queue.push((now + 1, poi, ControlMsg::Propagate));
-        }
-
+    /// Counts one POI's apply; the last one completes the wave. An
+    /// apply after a rollback was harmless and is not counted.
+    fn count_apply(&mut self, now: u64) {
         let Some(exec) = self.reconfig.as_mut() else {
-            return; // wave already rolled back; apply was harmless
+            return;
         };
         exec.applies_pending = exec.applies_pending.saturating_sub(1);
         if exec.applies_pending == 0 {
@@ -500,20 +430,8 @@ impl Simulation {
         }
     }
 
-    /// Transfers one key's state to `to_poi`, in memory when
-    /// co-located, over the NIC otherwise.
-    fn send_migration(
-        &mut self,
-        from_idx: usize,
-        to_idx: usize,
-        key: Key,
-        state: Option<StateValue>,
-        wm: &mut WindowMetrics,
-    ) {
-        self.send_migration_attempt(from_idx, to_idx, key, state, 0, wm);
-    }
-
-    /// One transmission attempt of a ⑥ `MIGRATE`. The injector may
+    /// One transmission attempt of a ⑥ `MIGRATE`, in memory when
+    /// co-located, over the NIC otherwise. The injector may
     /// drop it (queued for retransmission) or delay it; after
     /// [`MAX_MIGRATE_RETRANSMITS`] drops the state is recovered out of
     /// band and [`ReconfigError::MigrationLost`] is surfaced.
@@ -681,7 +599,7 @@ impl Simulation {
                 .deadline_windows
                 .saturating_mul(exec.wave.backoff.max(1).saturating_pow(attempt));
             self.trace(Some(exec.wave_id), TraceEventKind::WaveRetried { attempt });
-            self.enqueue_wave(&exec.plan);
+            self.enqueue_reconfs(exec.plan.split(&self.poi_base, self.pois.len()));
             self.reconfig = Some(ReconfigExec {
                 acks_pending: self.pois.len(),
                 applies_pending: self.pois.len(),
@@ -761,10 +679,7 @@ impl Simulation {
         // old one, so a reversed straggler-forwarding entry sends them
         // after it — the same §3.4 mechanism the forward path uses.
         for (idx, poi) in self.pois.iter_mut().enumerate() {
-            poi.staged = None;
-            poi.awaiting_propagates = 0;
-            poi.departed.clear();
-            let mut buffered: Vec<_> = std::mem::take(&mut poi.pending).into_iter().collect();
+            let mut buffered: Vec<_> = poi.wave.reset().into_iter().collect();
             buffered.sort_by_key(|&(key, _)| key);
             for (key, buf) in buffered.into_iter().rev() {
                 if let Some(&(from, _, _)) = exec
@@ -773,7 +688,7 @@ impl Simulation {
                     .iter()
                     .find(|&&(_, k, to)| k == key && to.index() == idx)
                 {
-                    poi.departed.insert(key, from);
+                    poi.wave.departed.insert(key, from);
                 }
                 for t in buf.into_iter().rev() {
                     poi.input.push_front(t);
@@ -830,14 +745,12 @@ impl Simulation {
             }
             // Release any tuples buffered for the key at either end.
             for idx in [from, to] {
-                if let Some(buf) = self.pois[idx].pending.remove(&key) {
-                    for t in buf.into_iter().rev() {
-                        self.pois[idx].input.push_front(t);
-                    }
+                let poi = &mut self.pois[idx];
+                poi.wave.departed.remove(&key);
+                for t in poi.wave.pending.remove(&key).into_iter().flatten().rev() {
+                    poi.input.push_front(t);
                 }
             }
-            self.pois[from].departed.remove(&key);
-            self.pois[to].departed.remove(&key);
         }
     }
 
@@ -856,10 +769,8 @@ impl Simulation {
         if let Some(state) = state {
             poi.state.insert(key, state);
         }
-        if let Some(buffered) = poi.pending.remove(&key) {
-            for t in buffered.into_iter().rev() {
-                poi.input.push_front(t);
-            }
+        for t in poi.wave.pending.remove(&key).into_iter().flatten().rev() {
+            poi.input.push_front(t);
         }
     }
 
@@ -950,19 +861,7 @@ mod tests {
 
     /// n sources emitting (c % keys, c % keys) so both hops share keys.
     fn chain(n: usize, keys: u64) -> Topology {
-        let mut b = Topology::builder();
-        let s = b.source("S", n, SourceRate::PerSecond(5_000.0), move |i| {
-            let mut c = i as u64;
-            Box::new(move || {
-                c += 1;
-                Some(Tuple::new([Key::new(c % keys), Key::new(c % keys)], 0))
-            })
-        });
-        let a = b.stateful("A", n, CountOperator::factory());
-        let bb = b.stateful("B", n, CountOperator::factory());
-        b.connect(s, a, Grouping::fields(0));
-        b.connect(a, bb, Grouping::fields(1));
-        b.build().unwrap()
+        finite_chain(n, keys, u64::MAX)
     }
 
     fn sim(n: usize, keys: u64) -> Simulation {
@@ -1216,5 +1115,65 @@ mod tests {
             (after - before).abs() / before < 0.05,
             "reconfig disrupted throughput: {before} -> {after}"
         );
+    }
+
+    /// [`chain`] with each source emitting `per_source` tuples, so
+    /// the pipeline drains.
+    fn finite_chain(n: usize, keys: u64, per_source: u64) -> Topology {
+        let mut b = Topology::builder();
+        let s = b.source("S", n, SourceRate::PerSecond(5_000.0), move |i| {
+            let mut c = i as u64;
+            let mut left = per_source;
+            Box::new(move || {
+                left = left.checked_sub(1)?;
+                c += 1;
+                Some(Tuple::new([Key::new(c % keys), Key::new(c % keys)], 0))
+            })
+        });
+        let a = b.stateful("A", n, CountOperator::factory());
+        let bb = b.stateful("B", n, CountOperator::factory());
+        b.connect(s, a, Grouping::fields(0));
+        b.connect(a, bb, Grouping::fields(1));
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn self_migrations_are_no_ops() {
+        // A plan listing every key, including those whose owner does
+        // not change: an `old == new` entry must not make the key
+        // "departed" to its own instance (its tuples would be
+        // forwarded to itself forever).
+        let (n, keys, per_source) = (3, 12u64, 10_000u64);
+        let topo = finite_chain(n, keys, per_source);
+        let placement = Placement::aligned(&topo, n);
+        let mut s = Simulation::new(
+            topo,
+            ClusterSpec::lan_10g(n),
+            placement,
+            SimConfig::default(),
+        );
+        s.run(3);
+        let edge_ab = EdgeId(1);
+        let a_pois = s.poi_ids(s.topology().po_by_name("A").unwrap());
+        let b_pois = s.poi_ids(s.topology().po_by_name("B").unwrap());
+        let migrations: Vec<(PoiId, Key, PoiId)> = (0..keys)
+            .map(|k| {
+                let key = Key::new(k);
+                let old = s.current_route(a_pois[0], edge_ab, key) as usize;
+                (b_pois[old], key, b_pois[(k % n as u64) as usize])
+            })
+            .collect();
+        assert!(migrations.iter().any(|&(from, _, to)| from == to));
+        let plan = ReconfigPlan {
+            routers: a_pois
+                .iter()
+                .map(|&p| (p, edge_ab, Arc::new(ModuloRouter) as Arc<dyn KeyRouter>))
+                .collect(),
+            migrations,
+        };
+        s.start_reconfiguration(plan).unwrap();
+        assert!(s.run_until_drained(2_000) < 2_000, "pipeline never drained");
+        let counted: u64 = total_counts(&s, "B").values().sum();
+        assert_eq!(counted, n as u64 * per_source);
     }
 }

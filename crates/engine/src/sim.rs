@@ -22,12 +22,13 @@ use crate::obs::{
     SpanSampler, TraceEvent, TraceEventKind,
 };
 use crate::operator::{OpContext, Operator, StateValue};
-use crate::reconfig::{ControlMsg, ReconfigExec, StagedReconf};
+use crate::reconfig::{ControlMsg, ReconfigExec};
 use crate::router::KeyRouter;
 use crate::topology::{
     EdgeId, Grouping, PoId, PoKind, PoiId, ServerId, SourceRate, Topology, TupleSource,
 };
 use crate::tuple::Tuple;
+use crate::wave::WaveParticipant;
 
 /// Observes the `(input key, output key)` pairs flowing through a
 /// stateful instance — the instrumentation hook of paper §3.2.
@@ -208,11 +209,8 @@ pub(crate) struct PoiRt {
     /// entries; an edge can carry several (a stateless fan-out behind
     /// it may lead to several stateful successors).
     pub(crate) observers: ObserverSlots,
-    // --- reconfiguration runtime (see reconfig.rs) ---
-    pub(crate) staged: Option<StagedReconf>,
-    pub(crate) awaiting_propagates: usize,
-    pub(crate) pending: HashMap<Key, VecDeque<InTuple>>,
-    pub(crate) departed: HashMap<Key, PoiId>,
+    /// This POI's side of the reconfiguration wave (see reconfig.rs).
+    pub(crate) wave: WaveParticipant<VecDeque<InTuple>>,
 }
 
 pub(crate) enum NetPayload {
@@ -510,10 +508,7 @@ impl Simulation {
                     state: HashMap::new(),
                     out,
                     observers: HashMap::new(),
-                    staged: None,
-                    awaiting_propagates: 0,
-                    pending: HashMap::new(),
-                    departed: HashMap::new(),
+                    wave: WaveParticipant::new(topology.predecessor_instances(po_id)),
                 });
             }
         }
@@ -920,25 +915,15 @@ impl Simulation {
         if let Some(exec) = self.reconfig.as_mut() {
             exec.nacked = true;
         }
-        let mut dropped = self.pois[idx].input.len() as i64;
-        dropped += self.pois[idx]
-            .pending
-            .values()
-            .map(|b| b.len() as i64)
-            .sum::<i64>();
-        {
-            let poi = &mut self.pois[idx];
-            poi.input.clear();
-            poi.pending.clear();
-            poi.departed.clear();
-            poi.staged = None;
-            poi.awaiting_propagates = 0;
-            poi.state.clear();
-            // A restarted generator would replay its stream from the
-            // beginning; keep it down instead.
-            if let PoiKindRt::Source { exhausted, .. } = &mut poi.kind {
-                *exhausted = true;
-            }
+        let poi = &mut self.pois[idx];
+        let buffered: usize = poi.wave.reset().values().map(VecDeque::len).sum();
+        let dropped = (poi.input.len() + buffered) as i64;
+        poi.input.clear();
+        poi.state.clear();
+        // A restarted generator would replay its stream from the
+        // beginning; keep it down instead.
+        if let PoiKindRt::Source { exhausted, .. } = &mut poi.kind {
+            *exhausted = true;
         }
         self.in_flight -= dropped;
         debug_assert!(self.in_flight >= 0, "in-flight accounting underflow");
@@ -1022,7 +1007,7 @@ impl Simulation {
             && self.lost_migrations.is_empty()
             && self.pois.iter().all(|p| match &p.kind {
                 PoiKindRt::Source { exhausted, .. } => *exhausted,
-                _ => p.input.is_empty() && p.pending.is_empty(),
+                _ => p.input.is_empty() && p.wave.pending.is_empty(),
             })
     }
 
@@ -1260,7 +1245,7 @@ impl Simulation {
                 // Awaiting migrated state: buffer (paper §3.4). The
                 // empty → non-empty transition is traced as one stall
                 // per key (not per tuple).
-                let stalled = match self.pois[idx].pending.get_mut(&key) {
+                let stalled = match self.pois[idx].wave.pending.get_mut(&key) {
                     Some(buf) => {
                         let first = buf.is_empty();
                         buf.push_back(in_tuple);
@@ -1282,7 +1267,7 @@ impl Simulation {
                     continue;
                 }
                 // State departed to a new owner: forward the straggler.
-                if let Some(&new_owner) = self.pois[idx].departed.get(&key) {
+                if let Some(&new_owner) = self.pois[idx].wave.departed.get(&key) {
                     wm.late_forwarded += 1;
                     let from_server = self.pois[idx].server;
                     // Charged like any remote handoff.

@@ -387,6 +387,15 @@ impl Topology {
             .filter(|&po| self.out_edges[po.0].is_empty())
     }
 
+    /// Instances of all predecessor operators of `po`: the ⑤
+    /// propagates (and live `Eos` tokens) each of its instances awaits.
+    pub(crate) fn predecessor_instances(&self, po: PoId) -> usize {
+        self.in_edges[po.0]
+            .iter()
+            .map(|e| self.pos[self.edges[e.0].from.0].parallelism)
+            .sum()
+    }
+
     /// The field a stateful operator's state is keyed on (the field of
     /// its fields-grouped input edges); `None` for sources and
     /// stateless operators without fields input.
