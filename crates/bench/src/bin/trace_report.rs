@@ -197,8 +197,8 @@ fn print_timeline<'a>(events: impl Iterator<Item = &'a TraceEvent>) {
             TraceEventKind::WaveCompleted { duration_windows } => {
                 line.detail = format!("took {duration_windows} window(s)");
             }
-            TraceEventKind::WaveRolledBack { nacked, attempt } => {
-                line.detail = format!("nacked={nacked} attempt={attempt}");
+            TraceEventKind::WaveRolledBack { attempt } => {
+                line.detail = format!("attempt={attempt}");
             }
             TraceEventKind::SpanHop {
                 queue_ns,

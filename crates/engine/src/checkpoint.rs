@@ -118,9 +118,17 @@ impl Simulation {
         if self.reconfig_active() || self.pending_migrations() > 0 {
             return Err(CheckpointError::ReconfigurationInFlight);
         }
-        let states = self.pois.iter().map(|p| p.state.clone()).collect();
-        let routers = self
-            .pois
+        Ok(ClusterCheckpoint {
+            window_index: self.window_index(),
+            states: self.pois.iter().map(|p| p.state.clone()).collect(),
+            routers: self.snapshot_routers(),
+        })
+    }
+
+    /// Every instance's currently installed fields routers (also the
+    /// pre-wave snapshot a rolled-back wave restores).
+    pub(crate) fn snapshot_routers(&self) -> Vec<Vec<(EdgeId, Arc<dyn KeyRouter>)>> {
+        self.pois
             .iter()
             .map(|p| {
                 p.out
@@ -131,12 +139,7 @@ impl Simulation {
                     })
                     .collect()
             })
-            .collect();
-        Ok(ClusterCheckpoint {
-            window_index: self.window_index(),
-            states,
-            routers,
-        })
+            .collect()
     }
 
     /// Rolls the deployment back to `checkpoint`: keyed state and

@@ -8,11 +8,13 @@
 //! executes user operators for real, under real thread interleavings,
 //! with real backpressure. Each instance runs the reconfiguration wave
 //! (SEND_RECONF → ACK → PROPAGATE → MIGRATE with tuple buffering) on
-//! the same sans-IO `WaveParticipant` as the simulator, here against
-//! genuine concurrency instead of deterministic windows. "Servers" are
-//! placement tags: transfers between instances with different tags are
-//! counted as remote, so locality statistics remain meaningful even
-//! though everything runs in one process.
+//! the same sans-IO `WaveParticipant` as the simulator, and the wave
+//! driver runs the same `WaveCoordinator` (stage, gate, release, and
+//! roll-forward recovery), here against genuine concurrency instead of
+//! deterministic windows. "Servers" are placement tags: transfers
+//! between instances with different tags are counted as remote, so
+//! locality statistics remain meaningful even though everything runs in
+//! one process.
 //!
 //! Termination is by end-of-stream tokens: an exhausted (or stopped)
 //! source sends `Eos` to every successor instance; an operator
@@ -21,13 +23,13 @@
 //! [`LiveRuntime::join`] returns exactly when the pipeline has fully
 //! drained.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::checkpoint::ClusterCheckpoint;
@@ -40,7 +42,7 @@ use crate::router::{DestRun, HashRouter, KeyRouter};
 use crate::sim::{PairObserver, Placement};
 use crate::topology::{EdgeId, Grouping, PoId, PoKind, PoiId, SourceRate, Topology, TupleSource};
 use crate::tuple::{tuple_run_len, Tuple};
-use crate::wave::{StagedReconf, WaveParticipant};
+use crate::wave::{StagedReconf, WaveCoordinator, WaveParticipant, WaveSend};
 
 /// Messages on an instance's inbox. Data and control share one FIFO
 /// channel per receiver (like a TCP connection in Storm), so per-
@@ -66,9 +68,7 @@ enum Msg {
     /// Snapshot request: reply with a clone of the keyed state.
     StateProbe(Sender<HashMap<Key, StateValue>>),
     /// Wave recovery: apply the staged configuration *now*, without
-    /// waiting for the remaining predecessor propagates (the manager
-    /// resends this when ⑤ messages were lost and the wave deadline
-    /// expired).
+    /// the predecessor propagates still missing (a retry's release).
     ForceApply,
     /// Fault injection: the instance "crashes" — keyed state, queued
     /// messages and any staged wave configuration are lost — then
@@ -803,25 +803,17 @@ impl LiveRuntime {
         let pred_instances: Vec<usize> = (0..n_pos)
             .map(|po_idx| topology.predecessor_instances(PoId(po_idx)))
             .collect();
+        let instances = |po: usize| poi_base[po]..poi_base[po] + parallelism[po];
         let succ_instances: Vec<Vec<usize>> = (0..n_pos)
             .map(|po_idx| {
-                topology
-                    .out_edges(PoId(po_idx))
-                    .iter()
-                    .flat_map(|&e| {
-                        let to = topology.edge(e).to().index();
-                        let base = poi_base[to];
-                        (0..parallelism[to]).map(move |i| base + i)
-                    })
+                let out = topology.out_edges(PoId(po_idx)).iter();
+                out.flat_map(|&e| instances(topology.edge(e).to().index()))
                     .collect()
             })
             .collect();
         let roots: Vec<usize> = (0..n_pos)
-            .filter(|&po| topology.in_edges(PoId(po)).is_empty())
-            .flat_map(|po| {
-                let base = poi_base[po];
-                (0..parallelism[po]).map(move |i| base + i)
-            })
+            .filter(|&po| pred_instances[po] == 0)
+            .flat_map(instances)
             .collect();
 
         let shared = Arc::new(WorkerShared {
@@ -961,26 +953,18 @@ impl LiveRuntime {
     }
 
     /// Runs the reconfiguration wave under a deadline with bounded
-    /// retries, the live runtime's failure-recovery protocol:
-    ///
-    /// * ③ `SEND_RECONF` messages that get lost (fault injection, dead
-    ///   instance) are detected by the wave missing its per-attempt
-    ///   deadline and resent on the next attempt — instances that
-    ///   already applied are left alone.
-    /// * ⑤ `PROPAGATE` losses are recovered by resending the staged
-    ///   configuration and then force-applying it directly at each
-    ///   straggler, which re-forwards the wave downstream.
-    /// * An instance that exits (or whose inbox is gone) counts as
-    ///   done — its `Eos` tokens are out and it holds no state the
-    ///   wave could move — but the wave reports
-    ///   [`ReconfigError::Nack`] since it could not complete as sent.
+    /// retries, by the shared `WaveCoordinator`'s roll-forward rule: a
+    /// lost ③ or ⑤ (fault injection, dead instance) makes the attempt
+    /// miss its deadline, and the next one restages every instance that
+    /// has not applied and force-applies it there. An instance that
+    /// exits (or whose inbox is gone) counts as done — its `Eos` tokens
+    /// are out — but the wave then reports [`ReconfigError::Nack`].
     ///
     /// One "window" of [`WaveConfig::deadline_windows`] is interpreted
-    /// as 100 ms here; retry `k` gets `deadline × backoff^k`. Injected
-    /// [`ControlFate::Delay`] fates use the same scale: a delay of `d`
-    /// windows holds the message in a coordinator-side timer queue for
-    /// `d × 100 ms` — the coordinator keeps collecting acks meanwhile
-    /// instead of sleeping.
+    /// as 100 ms here. Injected [`ControlFate::Delay`] fates use the
+    /// same scale: a delay of `d` windows holds the message in a
+    /// driver-side timer queue for `d × 100 ms` — the driver keeps
+    /// collecting acks meanwhile instead of sleeping.
     ///
     /// # Errors
     ///
@@ -999,86 +983,73 @@ impl LiveRuntime {
         plan: LiveReconfig,
         wave: WaveConfig,
     ) -> Result<(), ReconfigError> {
-        let n = self.n_instances;
         let shared = &*self.shared;
         let staged = plan
             .to_plan(&shared.poi_base, &shared.parallelism)
-            .split(&shared.poi_base, n);
-
-        let mut progress = WaveProgress::default();
+            .split(&shared.poi_base, self.n_instances);
+        let mut coord = WaveCoordinator::new(staged, self.roots.clone(), wave);
         // Discard coordinator leftovers of earlier waves; exits are
         // permanent and kept.
         while let Ok(msg) = self.coord_rx.try_recv() {
             if let CoordMsg::Exited(idx) = msg {
-                progress.exited.insert(idx);
+                coord.exited(idx);
             }
         }
-
-        let mut last_attempt = 0;
-        for attempt in 0..=wave.max_retries {
-            last_attempt = attempt;
-            let budget = Duration::from_millis(
-                100 * wave.deadline_windows.max(2)
-                    * wave.backoff.max(1).saturating_pow(attempt),
-            );
-            let deadline = Instant::now() + budget;
-
-            // ③ stage at every instance that has not applied yet.
-            for idx in (0..n).rev() {
-                if progress.settled(idx) {
-                    continue;
-                }
-                let msg = Msg::Reconf(staged[idx].clone());
-                progress.send(shared, ControlClass::SendReconf, idx, msg);
-            }
-
-            // ④ collect acks until the deadline.
-            let staged = |p: &WaveProgress, i: usize| p.acked.contains(&i) || p.settled(i);
-            if !progress.wait(shared, &self.coord_rx, n, deadline, staged) {
-                continue; // deadline missed in the stage phase: retry
-            }
-
-            // ⑤ release the wave. First attempt: propagate from the
-            // roots, the paper's progressive wave. Retries: force-apply
-            // directly at each straggler — the propagates it was
-            // waiting for are lost for good.
-            if attempt == 0 {
-                for &root in &self.roots {
-                    progress.send(shared, ControlClass::Propagate, root, Msg::Propagate);
-                }
-            } else {
-                for idx in 0..n {
-                    if !progress.settled(idx) {
-                        progress.deliver(shared, idx, Msg::ForceApply);
-                    }
+        let windows = |n: u64| Duration::from_millis(n.saturating_mul(100));
+        let clock = Instant::now();
+        coord.start(0);
+        // Delay-injected messages, held until their due time.
+        let mut timers: Vec<(Instant, usize, Msg)> = Vec::new();
+        let outcome = loop {
+            // A delayed message aimed at a settled instance is stale.
+            let now = Instant::now();
+            for (_, idx, msg) in timers.extract_if(.., |t| t.0 <= now) {
+                if !coord.settled(idx) {
+                    deliver(shared, &mut coord, idx, msg);
                 }
             }
-
-            // ⑥ wait for every instance to apply, until the deadline.
-            if progress.wait(shared, &self.coord_rx, n, deadline, WaveProgress::settled) {
-                // Bump the routing epoch: span observations recorded
-                // from here on ran under the new tables. Use the
-                // epoch the manager stamped on its tables when
-                // available (keeps live and manager numbering
-                // aligned), but never go backwards.
-                let stamped = plan
-                    .routers
-                    .iter()
-                    .filter_map(|(_, _, r)| r.epoch())
-                    .max()
-                    .unwrap_or(0);
-                let next = (shared.epoch.load(Ordering::Relaxed) + 1).max(stamped);
-                shared.epoch.store(next, Ordering::Relaxed);
-                return if progress.exited.is_empty() {
-                    Ok(())
-                } else {
-                    Err(ReconfigError::Nack)
+            let sends = coord.take_sends();
+            let sent = !sends.is_empty();
+            for send in sends {
+                let (class, idx, msg) = match send {
+                    WaveSend::Reconf(i, s) => (Some(ControlClass::SendReconf), i, Msg::Reconf(s)),
+                    WaveSend::Propagate(i) => (Some(ControlClass::Propagate), i, Msg::Propagate),
+                    WaveSend::ForceApply(i) => (None, i, Msg::ForceApply),
                 };
+                match class.map_or(ControlFate::Deliver, |c| shared.control_fate(c)) {
+                    ControlFate::Deliver => deliver(shared, &mut coord, idx, msg),
+                    ControlFate::Drop => {}
+                    ControlFate::Delay(d) => timers.push((now + windows(d.max(1)), idx, msg)),
+                }
             }
+            if let Some(outcome) = coord.outcome() {
+                break outcome;
+            }
+            if sent {
+                // A failed delivery may have released the wave.
+                continue;
+            }
+            let deadline = clock + windows(coord.deadline);
+            let wake = timers.iter().map(|t| t.0).fold(deadline, Instant::min);
+            let left = wake.saturating_duration_since(Instant::now());
+            match self.coord_rx.recv_timeout(left) {
+                Ok(CoordMsg::Ack(idx)) => coord.ack(idx),
+                Ok(CoordMsg::Applied(idx)) => coord.applied(idx),
+                Ok(CoordMsg::Exited(idx)) => coord.exited(idx),
+                Err(_) => {}
+            }
+            coord.tick((clock.elapsed().as_millis() / 100) as u64);
+        };
+        if !matches!(outcome, Err(ReconfigError::Timeout { .. })) {
+            // Bump the routing epoch: span observations recorded from
+            // here on ran under the new tables. Use the epoch the
+            // manager stamped on its tables when available (keeps live
+            // and manager numbering aligned), but never go backwards.
+            let stamped = plan.routers.iter().filter_map(|r| r.2.epoch()).max();
+            let next = (shared.epoch.load(Ordering::Relaxed) + 1).max(stamped.unwrap_or(0));
+            shared.epoch.store(next, Ordering::Relaxed);
         }
-        Err(ReconfigError::Timeout {
-            attempt: last_attempt,
-        })
+        outcome
     }
 
     /// Arms fault injection: [`DropControl`] / [`DelayControl`] events
@@ -1171,93 +1142,11 @@ impl LiveRuntime {
     }
 }
 
-/// The wave driver's view of one reconfiguration: which instances
-/// acked ④, applied or exited, and the delay-injected control messages
-/// held with their real due time in a coordinator-side timer queue
-/// (delivered while the driver waits, so it never sleeps).
-#[derive(Default)]
-struct WaveProgress {
-    acked: HashSet<usize>,
-    applied: HashSet<usize>,
-    exited: HashSet<usize>,
-    timers: Vec<(Instant, usize, Msg)>,
-}
-
-impl WaveProgress {
-    /// `true` once instance `idx` needs nothing more from this wave.
-    fn settled(&self, idx: usize) -> bool {
-        self.applied.contains(&idx) || self.exited.contains(&idx)
-    }
-
-    /// Sends one control message under its injected fate: delivered,
-    /// dropped (a later attempt recovers it) or queued for the injected
-    /// delay.
-    fn send(&mut self, shared: &WorkerShared, class: ControlClass, idx: usize, msg: Msg) {
-        match shared.control_fate(class) {
-            ControlFate::Deliver => self.deliver(shared, idx, msg),
-            ControlFate::Drop => {}
-            ControlFate::Delay(d) => self.timers.push((
-                Instant::now() + Duration::from_millis(100 * d.max(1)),
-                idx,
-                msg,
-            )),
-        }
-    }
-
-    /// Delivers `msg` now. A failed send marks the target exited, so
-    /// the wave never waits on a dead instance.
-    fn deliver(&mut self, shared: &WorkerShared, idx: usize, msg: Msg) {
-        if shared.inboxes[idx].send(msg).is_err() {
-            self.exited.insert(idx);
-        }
-    }
-
-    /// Collects worker notifications until `done` holds for all `n`
-    /// instances or `deadline` passes, delivering delayed messages as
-    /// they come due (those aimed at a settled instance are stale and
-    /// dropped). Returns whether `done` holds.
-    fn wait(
-        &mut self,
-        shared: &WorkerShared,
-        rx: &Receiver<CoordMsg>,
-        n: usize,
-        deadline: Instant,
-        done: impl Fn(&Self, usize) -> bool,
-    ) -> bool {
-        let all_done = |p: &Self| (0..n).all(|i| done(p, i));
-        while !all_done(self) {
-            let due: Vec<_> = self.timers.extract_if(.., |t| t.0 <= Instant::now()).collect();
-            for (_, idx, msg) in due {
-                if !self.settled(idx) {
-                    self.deliver(shared, idx, msg);
-                }
-            }
-            let now = Instant::now();
-            let Some(left) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-            else {
-                break;
-            };
-            let wait = self
-                .timers
-                .iter()
-                .map(|t| t.0)
-                .min()
-                .map_or(left, |due| due.saturating_duration_since(now).min(left));
-            match rx.recv_timeout(wait) {
-                Ok(CoordMsg::Ack(idx)) => {
-                    self.acked.insert(idx);
-                }
-                Ok(CoordMsg::Applied(idx)) => {
-                    self.applied.insert(idx);
-                }
-                Ok(CoordMsg::Exited(idx)) => {
-                    self.exited.insert(idx);
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        all_done(self)
+/// Delivers a wave message now. A failed send marks the target exited,
+/// so the wave never waits on a dead instance.
+fn deliver(shared: &WorkerShared, coord: &mut WaveCoordinator, idx: usize, msg: Msg) {
+    if shared.inboxes[idx].send(msg).is_err() {
+        coord.exited(idx);
     }
 }
 

@@ -186,8 +186,7 @@ pub fn event_to_json(e: &TraceEvent) -> String {
             field("poi", poi.to_string());
         }
         K::ManagerKilled => {}
-        K::WaveRolledBack { nacked, attempt } => {
-            field("nacked", nacked.to_string());
+        K::WaveRolledBack { attempt } => {
             field("attempt", attempt.to_string());
         }
         K::WaveRetried { attempt } => {
@@ -477,7 +476,6 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
         "poi_crashed" => K::PoiCrashed { poi: r.usize("poi")? },
         "manager_killed" => K::ManagerKilled,
         "wave_rolled_back" => K::WaveRolledBack {
-            nacked: r.bool("nacked")?,
             attempt: r.u32("attempt")?,
         },
         "wave_retried" => K::WaveRetried {
@@ -578,10 +576,7 @@ mod tests {
             K::MigrationLost { to: 5, key: 9 },
             K::PoiCrashed { poi: 4 },
             K::ManagerKilled,
-            K::WaveRolledBack {
-                nacked: true,
-                attempt: 1,
-            },
+            K::WaveRolledBack { attempt: 1 },
             K::WaveRetried { attempt: 2 },
             K::WaveAborted,
             K::WaveCompleted {

@@ -40,7 +40,8 @@ pub enum TraceEventKind {
         /// Acks the manager is still waiting for.
         acks_pending: usize,
     },
-    /// ⑤ `PROPAGATE` delivered to `poi`.
+    /// ⑤ `PROPAGATE`, or the coordinator's `ForceApply`, delivered to
+    /// `poi`.
     Propagate {
         /// Receiving instance.
         poi: usize,
@@ -112,15 +113,14 @@ pub enum TraceEventKind {
     },
     /// Fault injection killed the manager process.
     ManagerKilled,
-    /// The wave was rolled back (routing tables and key ownership
-    /// reverted to their pre-wave values).
+    /// The abandoned wave was rolled back (routing tables and key
+    /// ownership reverted to their pre-wave values).
     WaveRolledBack {
-        /// `true` when a participant nacked; `false` on deadline miss.
-        nacked: bool,
         /// The attempt that failed (0-based).
         attempt: u32,
     },
-    /// The wave restarted after a rollback.
+    /// An attempt missed its deadline: the rest of the wave was
+    /// restaged.
     WaveRetried {
         /// The new attempt number (0-based).
         attempt: u32,

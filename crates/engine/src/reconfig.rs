@@ -15,16 +15,20 @@
 //! * ③ `SEND_RECONF` — every POI receives its routing-table update,
 //!   send list and receive list ([`ReconfigPlan::split`]); it
 //!   immediately starts buffering tuples for receive-list keys.
-//! * ④ `ACK_RECONF` — modeled by the executor counting staged POIs.
+//! * ④ `ACK_RECONF` — each POI reports it staged.
 //! * ⑤ `PROPAGATE` — once all POIs acked, the manager propagates to
 //!   the source POIs; each POI that has received a propagate from
 //!   *every* instance of *every* predecessor operator applies its new
 //!   routing table, ships reassigned key state (⑥ `MIGRATE`) to the
 //!   new owners, and forwards the propagate wave downstream.
 //!
-//! The per-POI rule is the sans-IO [`WaveParticipant`], shared with the
-//! live runtime. This module holds the simulator's I/O around it
-//! (control queue, tracing, NIC charging) and its coordinator.
+//! The per-POI rule is the sans-IO [`WaveParticipant`] and the
+//! manager's the sans-IO [`WaveCoordinator`], both shared with the live
+//! runtime. A wave that misses its deadline rolls forward: the
+//! coordinator restages what is left and force-applies it. Only an
+//! abandoned wave is rolled back (`rollback_wave`). This
+//! module holds the simulator's I/O around them: the control queue,
+//! tracing, NIC charging, and the rollback.
 //!
 //! Data streams are never suspended. A tuple reaching the new owner of
 //! a key before that key's state arrives is buffered (Algorithm 1's
@@ -33,6 +37,7 @@
 //! forwarded to the new owner, preserving exactly-once state updates.
 //!
 //! [`WaveParticipant`]: crate::wave::WaveParticipant
+//! [`WaveCoordinator`]: crate::wave::WaveCoordinator
 
 use std::collections::HashMap;
 use std::fmt;
@@ -44,9 +49,9 @@ use crate::metrics::WindowMetrics;
 use crate::obs::TraceEventKind;
 use crate::operator::StateValue;
 use crate::router::{HashRouter, KeyRouter};
-use crate::sim::{LostMigration, NetMsg, NetPayload, OutKind, Simulation};
+use crate::sim::{LostMigration, NetMsg, NetPayload, Simulation};
 use crate::topology::{EdgeId, Grouping, PoId, PoiId};
-use crate::wave::StagedReconf;
+use crate::wave::{WaveCoordinator, WaveSend};
 
 /// How many times a dropped ⑥ `MIGRATE` message is retransmitted
 /// before the engine recovers the state out of band (from its
@@ -111,8 +116,8 @@ pub enum ReconfigError {
         /// Which attempt timed out (0 = the first).
         attempt: u32,
     },
-    /// A participant rejected or lost its staged configuration — e.g.
-    /// it crashed mid-wave — so the wave cannot complete as sent.
+    /// A participant exited mid-wave (live runtime), so the wave could
+    /// not complete as sent.
     Nack,
     /// A state migration was lost in transit and, after retransmission
     /// attempts were exhausted, recovered out of band from the
@@ -143,14 +148,14 @@ impl std::error::Error for ReconfigError {}
 /// Failure-handling knobs of one reconfiguration wave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaveConfig {
-    /// Windows the wave may take before the manager declares it dead
-    /// and rolls it back.
+    /// Windows an attempt may take (at least 2) before the manager
+    /// restages what is left of the wave and force-applies it.
     pub deadline_windows: u64,
-    /// Full restarts attempted after a timeout or nack before the
-    /// wave is abandoned.
+    /// Attempts after the first before the wave is abandoned (and, in
+    /// the simulator, rolled back).
     pub max_retries: u32,
     /// Deadline multiplier applied per retry (exponential backoff:
-    /// attempt `k` gets `deadline_windows * backoff^k`).
+    /// attempt `k` gets `max(deadline_windows, 2) * backoff^k`).
     pub backoff: u64,
 }
 
@@ -164,30 +169,16 @@ impl Default for WaveConfig {
     }
 }
 
-/// Control-plane messages exchanged during a wave.
-pub(crate) enum ControlMsg {
-    Reconf(StagedReconf),
-    Propagate,
-}
-
-/// Manager-side progress tracking of the running wave, including the
-/// failure-recovery context: the plan (for retries), the pre-wave
-/// router snapshot (for rollback) and the deadline clock.
+/// The running wave: its coordinator, and what an abandoned wave needs
+/// to roll back (the plan and the pre-wave router snapshot).
 pub(crate) struct ReconfigExec {
-    pub(crate) acks_pending: usize,
-    pub(crate) applies_pending: usize,
+    pub(crate) coord: WaveCoordinator,
     pub(crate) plan: ReconfigPlan,
-    pub(crate) wave: WaveConfig,
-    pub(crate) attempt: u32,
-    pub(crate) deadline: u64,
     /// Stable identifier of this wave across retries (trace
     /// attribution); assigned from `Simulation::wave_seq`.
     pub(crate) wave_id: u64,
     /// Window the wave (attempt 0) started in.
     pub(crate) started_at: u64,
-    /// Set when a participant died or rejected mid-wave; triggers a
-    /// rollback at the next progress check.
-    pub(crate) nacked: bool,
     /// Every POI's fields routers as they were before the wave, for
     /// rollback.
     pub(crate) pre_wave_routers: Vec<Vec<(EdgeId, Arc<dyn KeyRouter>)>>,
@@ -230,9 +221,13 @@ impl Simulation {
         if self.reconfig.is_some() || self.manager_down {
             return Err(ReconfigInProgress);
         }
+        let roots = (0..self.pois.len())
+            .filter(|&i| self.topo.in_edges[self.pois[i].po.index()].is_empty())
+            .collect();
         let staged = plan.split(&self.poi_base, self.pois.len());
+        let mut coord = WaveCoordinator::new(staged, roots, wave);
+        coord.start(self.window_index);
         let pre_wave_routers = self.snapshot_routers();
-        let deadline = self.window_index + wave.deadline_windows.max(2);
         let wave_id = self.wave_seq;
         self.wave_seq += 1;
         self.last_wave = Some(wave_id);
@@ -254,44 +249,27 @@ impl Simulation {
                 },
             );
         }
-        self.enqueue_reconfs(staged);
         self.reconfig = Some(ReconfigExec {
-            acks_pending: self.pois.len(),
-            applies_pending: self.pois.len(),
+            coord,
             plan,
-            wave,
-            attempt: 0,
-            deadline,
             wave_id,
             started_at: self.window_index,
-            nacked: false,
             pre_wave_routers,
         });
+        self.send_wave(self.window_index);
         Ok(())
     }
 
-    /// Queues every POI's ③ `SEND_RECONF` for the next window (1 hop).
-    fn enqueue_reconfs(&mut self, staged: Vec<StagedReconf>) {
-        let due = self.window_index;
-        let msgs = staged.into_iter().enumerate().rev();
-        self.control_queue
-            .extend(msgs.map(|(idx, s)| (due, idx, ControlMsg::Reconf(s))));
-    }
-
-    /// Every POI's current fields routers (rollback snapshot).
-    fn snapshot_routers(&self) -> Vec<Vec<(EdgeId, Arc<dyn KeyRouter>)>> {
-        self.pois
-            .iter()
-            .map(|p| {
-                p.out
-                    .iter()
-                    .filter_map(|o| match &o.kind {
-                        OutKind::Fields { router, .. } => Some((o.edge, Arc::clone(router))),
-                        _ => None,
-                    })
-                    .collect()
-            })
-            .collect()
+    /// Queues the coordinator's sends, due at `due` (processed in the
+    /// next window: 1 hop). A dead manager sends nothing.
+    fn send_wave(&mut self, due: u64) {
+        let Some(exec) = self.reconfig.as_mut() else {
+            return;
+        };
+        let sends = exec.coord.take_sends().into_iter().map(|s| (due, s));
+        if !self.manager_down {
+            self.control_queue.extend(sends);
+        }
     }
 
     /// `true` while the protocol wave (③–⑤) is still running.
@@ -310,76 +288,63 @@ impl Simulation {
     /// Processes every control message due at the current window.
     pub(crate) fn process_due_control(&mut self, wm: &mut WindowMetrics) {
         let now = self.window_index;
-        if self.control_queue.is_empty() {
-            return;
-        }
         // Stable processing order: (due, poi), preserving insertion
         // order for equal keys.
-        let mut due: Vec<(u64, usize, ControlMsg)> = Vec::new();
-        let mut remaining = Vec::with_capacity(self.control_queue.len());
-        for msg in self.control_queue.drain(..) {
-            if msg.0 <= now {
-                due.push(msg);
-            } else {
-                remaining.push(msg);
-            }
-        }
-        self.control_queue = remaining;
-        due.sort_by_key(|&(when, poi, _)| (when, poi));
-        for (_, poi, msg) in due {
+        let mut due: Vec<_> = self.control_queue.extract_if(.., |m| m.0 <= now).collect();
+        due.sort_by_key(|(when, msg)| (*when, msg.to()));
+        for (_, msg) in due {
+            let poi = msg.to();
             let class = match &msg {
-                ControlMsg::Reconf(_) => ControlClass::SendReconf,
-                ControlMsg::Propagate => ControlClass::Propagate,
+                WaveSend::Reconf(..) => Some(ControlClass::SendReconf),
+                WaveSend::Propagate(_) => Some(ControlClass::Propagate),
+                WaveSend::ForceApply(_) => None,
             };
             // Fault injection: the injector may drop or delay any
-            // control message on the wire.
-            let fate = match &mut self.fault {
-                Some(injector) => injector.on_control(class),
-                None => ControlFate::Deliver,
+            // control message on the wire, except `ForceApply`.
+            let fate = match (&mut self.fault, class) {
+                (Some(injector), Some(class)) => injector.on_control(class),
+                _ => ControlFate::Deliver,
             };
-            match fate {
-                ControlFate::Deliver => {}
-                ControlFate::Drop => {
+            match (fate, class) {
+                (ControlFate::Drop, Some(class)) => {
                     wm.dropped_control += 1;
                     self.trace(self.active_wave(), TraceEventKind::ControlDropped { class });
                     continue;
                 }
-                ControlFate::Delay(windows) => {
+                (ControlFate::Delay(windows), Some(class)) => {
                     wm.delayed_control += 1;
                     self.trace(
                         self.active_wave(),
                         TraceEventKind::ControlDelayed { class, windows },
                     );
-                    self.control_queue.push((now + windows, poi, msg));
+                    self.control_queue.push((now + windows, msg));
                     continue;
                 }
+                _ => {}
             }
             match msg {
-                ControlMsg::Reconf(staged) => {
+                WaveSend::Reconf(_, staged) => {
                     self.trace(self.active_wave(), TraceEventKind::SendReconf { poi });
-                    // ③/④: stage and ack, unless the wave was rolled back.
+                    // ③/④: stage and ack, unless the wave is over or a
+                    // delayed ③ reaches an instance that already applied.
                     let Some(exec) = self.reconfig.as_mut() else {
                         continue;
                     };
+                    if exec.coord.settled(poi) {
+                        continue;
+                    }
                     self.pois[poi].wave.stage(staged);
-                    exec.acks_pending = exec.acks_pending.saturating_sub(1);
-                    let (wave_id, acks_pending) = (exec.wave_id, exec.acks_pending);
+                    exec.coord.ack(poi);
+                    let (wave_id, acks_pending) = (exec.wave_id, exec.coord.unacked());
                     let ack = TraceEventKind::AckReconf { poi, acks_pending };
                     self.trace(Some(wave_id), ack);
-                    // ⑤: all acks received; propagate to the root
-                    // operators. A dead manager cannot release the wave
-                    // — the deadline will roll it back instead.
-                    if acks_pending == 0 && !self.manager_down {
-                        for po in 0..self.topo.pos.len() {
-                            if self.topo.in_edges[po].is_empty() {
-                                self.propagate_to(PoId(po), now + 1);
-                            }
-                        }
-                    }
+                    // ⑤: the release, once all acks are in.
+                    self.send_wave(now + 1);
                 }
-                ControlMsg::Propagate => {
+                WaveSend::Propagate(_) | WaveSend::ForceApply(_) => {
                     self.trace(self.active_wave(), TraceEventKind::Propagate { poi });
-                    let Some(applied) = self.pois[poi].wave.propagate(false) else {
+                    let force = matches!(msg, WaveSend::ForceApply(_));
+                    let Some(applied) = self.pois[poi].wave.propagate(force) else {
                         continue;
                     };
                     self.trace(self.active_wave(), TraceEventKind::WaveApplied { poi });
@@ -393,39 +358,25 @@ impl Simulation {
                     }
                     let po = self.pois[poi].po.index();
                     for e in self.topo.out_edges[po].clone() {
-                        self.propagate_to(self.topo.edges[e.index()].to, now + 1);
+                        for succ in self.poi_ids(self.topo.edges[e.index()].to) {
+                            let forward = WaveSend::Propagate(succ.index());
+                            self.control_queue.push((now + 1, forward));
+                        }
                     }
-                    self.count_apply(now);
+                    let Some(exec) = self.reconfig.as_mut() else {
+                        continue;
+                    };
+                    exec.coord.applied(poi);
+                    if exec.coord.outcome().is_some() {
+                        let exec = self.reconfig.take().expect("checked above");
+                        let duration_windows = now.saturating_sub(exec.started_at);
+                        let done = TraceEventKind::WaveCompleted { duration_windows };
+                        self.trace(Some(exec.wave_id), done);
+                        if let Some(m) = &self.obs_metrics {
+                            m.wave_duration.observe(duration_windows);
+                        }
+                    }
                 }
-            }
-        }
-    }
-
-    /// Queues a ⑤ `PROPAGATE` to every instance of `po`, due at `due`.
-    fn propagate_to(&mut self, po: PoId, due: u64) {
-        let base = self.poi_base[po.index()];
-        for poi in base..base + self.topo.pos[po.index()].parallelism {
-            self.control_queue.push((due, poi, ControlMsg::Propagate));
-        }
-    }
-
-    /// Counts one POI's apply; the last one completes the wave. An
-    /// apply after a rollback was harmless and is not counted.
-    fn count_apply(&mut self, now: u64) {
-        let Some(exec) = self.reconfig.as_mut() else {
-            return;
-        };
-        exec.applies_pending = exec.applies_pending.saturating_sub(1);
-        if exec.applies_pending == 0 {
-            let (wave_id, started_at) = (exec.wave_id, exec.started_at);
-            self.reconfig = None;
-            let duration_windows = now.saturating_sub(started_at);
-            self.trace(
-                Some(wave_id),
-                TraceEventKind::WaveCompleted { duration_windows },
-            );
-            if let Some(m) = &self.obs_metrics {
-                m.wave_duration.observe(duration_windows);
             }
         }
     }
@@ -448,63 +399,43 @@ impl Simulation {
             Some(injector) => injector.on_control(ControlClass::Migrate),
             None => ControlFate::Deliver,
         };
-        {
-            match fate {
-                ControlFate::Deliver => {}
-                ControlFate::Drop => {
-                    wm.dropped_control += 1;
-                    self.trace(
-                        self.wave_hint(),
-                        TraceEventKind::ControlDropped {
-                            class: ControlClass::Migrate,
-                        },
-                    );
-                    if attempts + 1 > MAX_MIGRATE_RETRANSMITS {
-                        // Retransmissions exhausted: recover the state
-                        // from the engine's replicated copy and tell
-                        // the operator what happened.
-                        wm.reconfig_errors.push(ReconfigError::MigrationLost);
-                        wm.migrated_states += 1;
-                        self.trace(
-                            self.wave_hint(),
-                            TraceEventKind::MigrationLost {
-                                to: to_idx,
-                                key: key.value(),
-                            },
-                        );
-                        self.apply_migration(to_idx, key, state);
-                        return;
-                    }
-                    self.lost_migrations.push(LostMigration {
-                        redeliver_at: self.window_index + MIGRATE_RETRY_WINDOWS,
-                        from: from_idx,
-                        to: to_idx,
-                        key,
-                        state,
-                        attempts: attempts + 1,
-                    });
+        let class = ControlClass::Migrate;
+        let retry = match fate {
+            ControlFate::Deliver => None,
+            ControlFate::Drop => {
+                wm.dropped_control += 1;
+                self.trace(self.wave_hint(), TraceEventKind::ControlDropped { class });
+                if attempts + 1 > MAX_MIGRATE_RETRANSMITS {
+                    // Retransmissions exhausted: recover the state from
+                    // the engine's replicated copy and tell the operator
+                    // what happened.
+                    wm.reconfig_errors.push(ReconfigError::MigrationLost);
+                    wm.migrated_states += 1;
+                    let (to, key_value) = (to_idx, key.value());
+                    let lost = TraceEventKind::MigrationLost { to, key: key_value };
+                    self.trace(self.wave_hint(), lost);
+                    self.apply_migration(to_idx, key, state);
                     return;
                 }
-                ControlFate::Delay(windows) => {
-                    wm.delayed_control += 1;
-                    self.trace(
-                        self.wave_hint(),
-                        TraceEventKind::ControlDelayed {
-                            class: ControlClass::Migrate,
-                            windows,
-                        },
-                    );
-                    self.lost_migrations.push(LostMigration {
-                        redeliver_at: self.window_index + windows,
-                        from: from_idx,
-                        to: to_idx,
-                        key,
-                        state,
-                        attempts,
-                    });
-                    return;
-                }
+                Some((MIGRATE_RETRY_WINDOWS, attempts + 1))
             }
+            ControlFate::Delay(windows) => {
+                wm.delayed_control += 1;
+                let delayed = TraceEventKind::ControlDelayed { class, windows };
+                self.trace(self.wave_hint(), delayed);
+                Some((windows, attempts))
+            }
+        };
+        if let Some((windows, attempts)) = retry {
+            self.lost_migrations.push(LostMigration {
+                redeliver_at: self.window_index + windows,
+                from: from_idx,
+                to: to_idx,
+                key,
+                state,
+                attempts,
+            });
+            return;
         }
         let from_server = self.pois[from_idx].server;
         let to_server = self.pois[to_idx].server;
@@ -535,20 +466,9 @@ impl Simulation {
     /// Retransmits migrations whose previous attempt was dropped or
     /// delayed and whose retry timer expired.
     pub(crate) fn process_lost_migrations(&mut self, wm: &mut WindowMetrics) {
-        if self.lost_migrations.is_empty() {
-            return;
-        }
         let now = self.window_index;
-        let mut due = Vec::new();
-        let mut waiting = Vec::with_capacity(self.lost_migrations.len());
-        for lm in self.lost_migrations.drain(..) {
-            if lm.redeliver_at <= now {
-                due.push(lm);
-            } else {
-                waiting.push(lm);
-            }
-        }
-        self.lost_migrations = waiting;
+        let ready = |lm: &mut LostMigration| lm.redeliver_at <= now;
+        let mut due: Vec<_> = self.lost_migrations.extract_if(.., ready).collect();
         // Stable order for determinism.
         due.sort_by_key(|lm| (lm.to, lm.key));
         for lm in due {
@@ -556,70 +476,41 @@ impl Simulation {
         }
     }
 
-    /// Watches the running wave for nacks and deadline misses; rolls
-    /// it back and retries (with exponential backoff) or abandons it.
-    /// Called once per window by [`Simulation::step`].
+    /// Tells the coordinator the time. A missed deadline restages the
+    /// rest of the wave, or, once retries are exhausted or the manager
+    /// is dead, abandons and rolls it back (falling back to hash
+    /// routing without a manager). Called once per window by
+    /// [`Simulation::step`].
     ///
     /// [`Simulation::step`]: crate::Simulation::step
     pub(crate) fn check_wave_progress(&mut self, wm: &mut WindowMetrics) {
-        let Some(exec) = &self.reconfig else { return };
         let now = self.window_index;
-        let nacked = exec.nacked;
-        if !nacked && now < exec.deadline {
+        let Some(exec) = self.reconfig.as_mut() else {
+            return;
+        };
+        let Some(ReconfigError::Timeout { attempt }) = exec.coord.tick(now) else {
+            return;
+        };
+        wm.reconfig_errors.push(ReconfigError::Timeout { attempt });
+        if exec.coord.outcome().is_none() && !self.manager_down {
+            let (wave_id, attempt) = (exec.wave_id, exec.coord.attempt);
+            self.trace(Some(wave_id), TraceEventKind::WaveRetried { attempt });
+            self.send_wave(now);
             return;
         }
         let exec = self.reconfig.take().expect("checked above");
         self.rollback_wave(&exec);
-        self.trace(
-            Some(exec.wave_id),
-            TraceEventKind::WaveRolledBack {
-                nacked,
-                attempt: exec.attempt,
-            },
-        );
-        wm.reconfig_errors.push(if nacked {
-            ReconfigError::Nack
-        } else {
-            ReconfigError::Timeout {
-                attempt: exec.attempt,
-            }
-        });
+        let rolled_back = TraceEventKind::WaveRolledBack { attempt };
+        self.trace(Some(exec.wave_id), rolled_back);
+        wm.reconfig_errors.push(ReconfigError::Aborted);
+        self.trace(Some(exec.wave_id), TraceEventKind::WaveAborted);
         if self.manager_down {
-            // No manager left to retry the wave: give up and fall back
-            // to hash routing so data keeps flowing correctly.
-            wm.reconfig_errors.push(ReconfigError::Aborted);
-            self.trace(Some(exec.wave_id), TraceEventKind::WaveAborted);
             self.degrade_to_hash(wm);
-            return;
-        }
-        if exec.attempt < exec.wave.max_retries {
-            let attempt = exec.attempt + 1;
-            let horizon = exec
-                .wave
-                .deadline_windows
-                .saturating_mul(exec.wave.backoff.max(1).saturating_pow(attempt));
-            self.trace(Some(exec.wave_id), TraceEventKind::WaveRetried { attempt });
-            self.enqueue_reconfs(exec.plan.split(&self.poi_base, self.pois.len()));
-            self.reconfig = Some(ReconfigExec {
-                acks_pending: self.pois.len(),
-                applies_pending: self.pois.len(),
-                plan: exec.plan,
-                wave: exec.wave,
-                attempt,
-                deadline: now + horizon.max(2),
-                wave_id: exec.wave_id,
-                started_at: exec.started_at,
-                nacked: false,
-                pre_wave_routers: exec.pre_wave_routers,
-            });
-        } else {
-            wm.reconfig_errors.push(ReconfigError::Aborted);
-            self.trace(Some(exec.wave_id), TraceEventKind::WaveAborted);
         }
     }
 
-    /// Reverts everything the wave touched: routing tables go back to
-    /// the pre-wave snapshot, migrated state returns to its old
+    /// Reverts everything an abandoned wave touched: routing tables go
+    /// back to the pre-wave snapshot, migrated state returns to its old
     /// owners, buffered tuples are released back to the input queues,
     /// and all wave control messages are purged.
     fn rollback_wave(&mut self, exec: &ReconfigExec) {

@@ -9,7 +9,7 @@
 //! throughput emerges from the CPU/NIC budget contention. See
 //! DESIGN.md §5 for the substitution rationale.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use crate::checkpoint::ClusterCheckpoint;
@@ -22,13 +22,13 @@ use crate::obs::{
     SpanSampler, TraceEvent, TraceEventKind,
 };
 use crate::operator::{OpContext, Operator, StateValue};
-use crate::reconfig::{ControlMsg, ReconfigExec};
+use crate::reconfig::ReconfigExec;
 use crate::router::KeyRouter;
 use crate::topology::{
     EdgeId, Grouping, PoId, PoKind, PoiId, ServerId, SourceRate, Topology, TupleSource,
 };
 use crate::tuple::Tuple;
-use crate::wave::WaveParticipant;
+use crate::wave::{WaveParticipant, WaveSend};
 
 /// Observes the `(input key, output key)` pairs flowing through a
 /// stateful instance — the instrumentation hook of paper §3.2.
@@ -302,7 +302,7 @@ pub struct Simulation {
     /// the next budget refill (statistics uploads to the manager).
     pub(crate) mgmt_debt: Vec<f64>,
     pub(crate) metrics: MetricsLog,
-    pub(crate) control_queue: Vec<(u64, usize, ControlMsg)>,
+    pub(crate) control_queue: Vec<(u64, WaveSend)>,
     pub(crate) reconfig: Option<ReconfigExec>,
     // --- failure injection & recovery (see fault.rs) ---
     pub(crate) fault: Option<FaultInjector>,
@@ -895,8 +895,9 @@ impl Simulation {
     /// Crashes instance `poi` right now, as [`FaultEvent::CrashPoi`]
     /// would: its keyed state, input queue and buffered tuples are
     /// lost, then it respawns from the last checkpoint (empty if none
-    /// was taken). Crashed sources stay down. If a wave is running,
-    /// the crash nacks it.
+    /// was taken). Crashed sources stay down. A running wave is not
+    /// told: it finds the instance unapplied at its deadline and
+    /// restages it.
     ///
     /// [`FaultEvent::CrashPoi`]: crate::FaultEvent::CrashPoi
     ///
@@ -910,11 +911,6 @@ impl Simulation {
             wm.crashes += 1;
         }
         self.trace(self.active_wave(), TraceEventKind::PoiCrashed { poi: idx });
-        // A wave participant died: its staged configuration and ack
-        // are gone, so the wave cannot complete as sent.
-        if let Some(exec) = self.reconfig.as_mut() {
-            exec.nacked = true;
-        }
         let poi = &mut self.pois[idx];
         let buffered: usize = poi.wave.reset().values().map(VecDeque::len).sum();
         let dropped = (poi.input.len() + buffered) as i64;
@@ -929,8 +925,9 @@ impl Simulation {
         debug_assert!(self.in_flight >= 0, "in-flight accounting underflow");
 
         // Respawn from the last checkpoint. Keys that have since
-        // migrated to another live instance are skipped — the live
-        // copy is newer and ownership must stay unique.
+        // migrated to another live instance, or are on their way to
+        // one (⑥ on the wire or awaiting retransmission), are skipped —
+        // the migrated copy is newer and ownership must stay unique.
         let (restored_state, restored_routers) = match &self.last_checkpoint {
             Some(cp) if cp.states.len() == self.pois.len() => {
                 (cp.states[idx].clone(), cp.routers[idx].clone())
@@ -939,12 +936,22 @@ impl Simulation {
         };
         let po = self.pois[idx].po;
         let base = self.poi_base[po.index()];
-        let parallelism = self.topo.pos[po.index()].parallelism;
+        let siblings = base..base + self.topo.pos[po.index()].parallelism;
+        let lost = self.lost_migrations.iter().map(|m| (m.to, m.key));
+        let wire = self.servers.iter().flat_map(|s| &s.backlog);
+        let in_transit: HashSet<Key> = wire
+            .filter_map(|m| match m.payload {
+                NetPayload::Migrate { key, .. } => Some((m.to_poi, key)),
+                _ => None,
+            })
+            .chain(lost)
+            .filter_map(|(to, key)| siblings.contains(&to).then_some(key))
+            .collect();
         for (key, state) in restored_state {
-            let held_elsewhere = (0..parallelism)
-                .map(|i| base + i)
+            let held_elsewhere = siblings
+                .clone()
                 .any(|j| j != idx && self.pois[j].state.contains_key(&key));
-            if !held_elsewhere {
+            if !held_elsewhere && !in_transit.contains(&key) {
                 self.pois[idx].state.insert(key, state);
             }
         }
@@ -970,8 +977,8 @@ impl Simulation {
             self.trace(self.active_wave(), TraceEventKind::ManagerKilled);
             // With no wave running there is nothing to wait for: fall
             // back to hash routing immediately. A running wave is given
-            // until its deadline, then rolled back and degraded (see
-            // check_wave_progress).
+            // until its deadline, then abandoned, rolled back and
+            // degraded (see check_wave_progress).
             if self.reconfig.is_none() {
                 self.degrade_to_hash(wm);
             }

@@ -1,20 +1,28 @@
-//! One instance's side of the reconfiguration wave (paper §3.4,
-//! Algorithm 1), written once for both runtimes.
+//! The reconfiguration wave (paper §3.4, Algorithm 1), written once for
+//! both runtimes: each instance's side and the manager's side.
 //!
-//! [`WaveParticipant`] is a sans-IO state machine: it sends nothing,
-//! takes no lock and reads no clock. The simulator (`reconfig.rs`) and
-//! the live runtime (`live.rs`) feed it ③ `SEND_RECONF` payloads cut by
-//! [`ReconfigPlan::split`], ⑤ `PROPAGATE` and the live coordinator's
-//! `ForceApply`, and do the I/O its transitions return: install the
-//! routers, ship ⑥ `MIGRATE`, forward the wave. Their data planes
-//! buffer tuples of the keys in its `pending` map (state on its way in)
-//! and forward those of the keys in its `departed` map (state gone).
+//! Both halves are sans-IO state machines: they send nothing, take no
+//! lock and read no clock. The simulator (`reconfig.rs`) and the live
+//! runtime (`live.rs`) feed them and do the I/O their transitions
+//! return.
+//!
+//! * [`WaveParticipant`] is one instance. It takes ③ `SEND_RECONF`
+//!   payloads cut by [`ReconfigPlan::split`], ⑤ `PROPAGATE` and the
+//!   coordinator's `ForceApply`; when it applies, the runtime installs
+//!   the routers, ships ⑥ `MIGRATE` and forwards the wave. The data
+//!   planes buffer tuples of the keys in its `pending` map (state on its
+//!   way in) and forward those of the keys in its `departed` map (state
+//!   gone).
+//! * [`WaveCoordinator`] is the manager. It stages ③, gates on the ④
+//!   acks, releases ⑤ and, when an attempt misses its deadline,
+//!   restages what is left and force-applies it (roll-forward). Its
+//!   clock is in windows: simulator windows, 100 ms live.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::key::Key;
-use crate::reconfig::ReconfigPlan;
+use crate::reconfig::{ReconfigError, ReconfigPlan, WaveConfig};
 use crate::router::KeyRouter;
 use crate::topology::{EdgeId, PoiId};
 
@@ -133,6 +141,208 @@ impl<B: Default> WaveParticipant<B> {
         self.awaiting = 0;
         self.departed.clear();
         std::mem::take(&mut self.pending)
+    }
+}
+
+/// What the coordinator has heard from one instance during the wave.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Report {
+    Nothing,
+    /// ④: staged, in this attempt or an earlier one.
+    Acked,
+    Applied,
+    Exited,
+}
+
+impl Report {
+    /// `true` once the instance needs nothing more from the wave.
+    fn settled(self) -> bool {
+        matches!(self, Self::Applied | Self::Exited)
+    }
+}
+
+/// A wave control message and the instance it goes to: what the
+/// coordinator asks its runtime to send (and, in the simulator's control
+/// queue, also the ⑤ an instance forwards).
+#[derive(Clone)]
+pub(crate) enum WaveSend {
+    /// ③: the part of the instance's plan not yet carried out.
+    Reconf(usize, StagedReconf),
+    /// ⑤: from the coordinator to a root, it releases attempt 0.
+    Propagate(usize),
+    /// Apply now, at a straggler: releases a later attempt. Never
+    /// fault-injected.
+    ForceApply(usize),
+}
+
+impl WaveSend {
+    /// The instance the message goes to.
+    pub(crate) fn to(&self) -> usize {
+        match self {
+            Self::Reconf(i, _) | Self::Propagate(i) | Self::ForceApply(i) => *i,
+        }
+    }
+}
+
+/// The manager's side of one wave, with its one recovery rule
+/// (roll-forward):
+///
+/// 1. Attempt `k` sends ③ to every instance that has neither applied
+///    nor exited. The ③ leaves out migrations whose old owner has
+///    applied: that state is shipped, so the receiver must not buffer
+///    for it again.
+/// 2. Once every such instance has acked (an ack from an earlier
+///    attempt counts: per-instance FIFO keeps the new ③ ahead), the
+///    wave is released: attempt 0 sends ⑤ to the roots, later attempts
+///    send `ForceApply` to each straggler.
+/// 3. The wave is done when every instance has applied or exited:
+///    `Ok`, or [`ReconfigError::Nack`] if any exited.
+/// 4. Attempt `k` has [`attempt_windows`] from its start. A missed
+///    deadline is a [`ReconfigError::Timeout`] and starts attempt
+///    `k + 1`; after [`WaveConfig::max_retries`] the wave is abandoned.
+pub(crate) struct WaveCoordinator {
+    plan: Vec<StagedReconf>,
+    /// Instances of the root operators.
+    roots: Vec<usize>,
+    config: WaveConfig,
+    reports: Vec<Report>,
+    /// The running attempt (0-based).
+    pub(crate) attempt: u32,
+    /// When the running attempt times out.
+    pub(crate) deadline: u64,
+    released: bool,
+    abandoned: bool,
+    sends: Vec<WaveSend>,
+}
+
+/// Windows attempt `attempt` of a wave may take:
+/// `max(deadline_windows, 2) × backoff^attempt`.
+fn attempt_windows(config: &WaveConfig, attempt: u32) -> u64 {
+    let backoff = config.backoff.max(1).saturating_pow(attempt);
+    config.deadline_windows.max(2).saturating_mul(backoff)
+}
+
+impl WaveCoordinator {
+    /// A coordinator for the per-instance payloads `plan` (see
+    /// [`ReconfigPlan::split`]); it sends nothing before
+    /// [`start`](Self::start).
+    pub(crate) fn new(plan: Vec<StagedReconf>, roots: Vec<usize>, config: WaveConfig) -> Self {
+        Self {
+            reports: vec![Report::Nothing; plan.len()],
+            plan,
+            roots,
+            config,
+            attempt: 0,
+            deadline: 0,
+            released: false,
+            abandoned: false,
+            sends: Vec::new(),
+        }
+    }
+
+    /// Starts the running attempt at time `now`: ③ to every unsettled
+    /// instance, from the last one down.
+    pub(crate) fn start(&mut self, now: u64) {
+        self.deadline = now.saturating_add(attempt_windows(&self.config, self.attempt));
+        self.released = false;
+        let applied = |&i: &usize| self.reports[i] == Report::Applied;
+        let shipped: HashSet<(Key, PoiId)> = (0..self.plan.len())
+            .filter(applied)
+            .flat_map(|i| self.plan[i].send.iter().copied())
+            .collect();
+        for i in (0..self.plan.len()).rev() {
+            if !self.reports[i].settled() {
+                let mut reconf = self.plan[i].clone();
+                reconf
+                    .receive
+                    .retain(|&k| !shipped.contains(&(k, PoiId(i))));
+                self.sends.push(WaveSend::Reconf(i, reconf));
+            }
+        }
+        self.release_if_staged();
+    }
+
+    fn release_if_staged(&mut self) {
+        if self.released || self.reports.contains(&Report::Nothing) {
+            return;
+        }
+        self.released = true;
+        let reports = &self.reports;
+        let unsettled = |&i: &usize| !reports[i].settled();
+        if self.attempt == 0 {
+            let roots = self.roots.iter().copied().filter(unsettled);
+            self.sends.extend(roots.map(WaveSend::Propagate));
+        } else {
+            let stragglers = (0..reports.len()).filter(unsettled);
+            self.sends.extend(stragglers.map(WaveSend::ForceApply));
+        }
+    }
+
+    /// ④: instance `i` staged.
+    pub(crate) fn ack(&mut self, i: usize) {
+        if self.reports[i] == Report::Nothing {
+            self.reports[i] = Report::Acked;
+            self.release_if_staged();
+        }
+    }
+
+    /// Instance `i` applied its configuration and forwarded the wave.
+    pub(crate) fn applied(&mut self, i: usize) {
+        if !self.reports[i].settled() {
+            self.reports[i] = Report::Applied;
+        }
+    }
+
+    /// Instance `i` shut down.
+    pub(crate) fn exited(&mut self, i: usize) {
+        self.reports[i] = Report::Exited;
+        self.release_if_staged();
+    }
+
+    /// The time is `now`. Returns the timeout of an attempt whose
+    /// deadline passed; the next attempt, if any, has then started.
+    pub(crate) fn tick(&mut self, now: u64) -> Option<ReconfigError> {
+        if self.outcome().is_some() || now < self.deadline {
+            return None;
+        }
+        let attempt = self.attempt;
+        if attempt < self.config.max_retries {
+            self.attempt += 1;
+            self.start(now);
+        } else {
+            self.abandoned = true;
+        }
+        Some(ReconfigError::Timeout { attempt })
+    }
+
+    /// The sends made necessary since the last call, in order.
+    pub(crate) fn take_sends(&mut self) -> Vec<WaveSend> {
+        std::mem::take(&mut self.sends)
+    }
+
+    /// The wave's outcome once it is done or abandoned.
+    pub(crate) fn outcome(&self) -> Option<Result<(), ReconfigError>> {
+        if self.abandoned {
+            let attempt = self.attempt;
+            Some(Err(ReconfigError::Timeout { attempt }))
+        } else if !self.reports.iter().all(|r| r.settled()) {
+            None
+        } else if self.reports.contains(&Report::Exited) {
+            Some(Err(ReconfigError::Nack))
+        } else {
+            Some(Ok(()))
+        }
+    }
+
+    /// `true` once instance `i` needs nothing more from the wave.
+    pub(crate) fn settled(&self, i: usize) -> bool {
+        self.reports[i].settled()
+    }
+
+    /// Instances the release still waits for.
+    pub(crate) fn unacked(&self) -> usize {
+        let unacked = self.reports.iter().filter(|&&r| r == Report::Nothing);
+        unacked.count()
     }
 }
 
@@ -268,5 +478,177 @@ mod tests {
     #[should_panic(expected = "migration instance out of range")]
     fn split_rejects_out_of_range_instances() {
         let _ = plan(&[(4, 1, 6)]).split(&[0, 3], 6);
+    }
+
+    // ---- the coordinator ------------------------------------------
+
+    /// Instances 0, 1 are the roots; 2 ships key 7 to 3.
+    fn coordinator() -> WaveCoordinator {
+        let mut plan = vec![StagedReconf::default(); 4];
+        plan[2].send.push((Key::new(7), PoiId(3)));
+        plan[3].receive.push(Key::new(7));
+        let config = WaveConfig {
+            deadline_windows: 4,
+            max_retries: 2,
+            backoff: 2,
+        };
+        WaveCoordinator::new(plan, vec![0, 1], config)
+    }
+
+    /// The sends as `(kind, instance)`, in order.
+    fn sends(c: &mut WaveCoordinator) -> Vec<(&'static str, usize)> {
+        c.take_sends()
+            .into_iter()
+            .map(|s| match s {
+                WaveSend::Reconf(i, _) => ("reconf", i),
+                WaveSend::Propagate(i) => ("propagate", i),
+                WaveSend::ForceApply(i) => ("force", i),
+            })
+            .collect()
+    }
+
+    fn reconf_of(c: &mut WaveCoordinator, instance: usize) -> StagedReconf {
+        let found = c.take_sends().into_iter().find_map(|s| match s {
+            WaveSend::Reconf(i, r) if i == instance => Some(r),
+            _ => None,
+        });
+        found.expect("instance was restaged")
+    }
+
+    /// Runs attempt 0 until its deadline with only `applied` applied.
+    fn miss_first_deadline(c: &mut WaveCoordinator, applied: &[usize]) {
+        c.start(10);
+        (0..4).for_each(|i| c.ack(i));
+        applied.iter().for_each(|&i| c.applied(i));
+        c.take_sends();
+        assert_eq!(c.tick(14), Some(ReconfigError::Timeout { attempt: 0 }));
+    }
+
+    #[test]
+    fn stages_everyone_first_and_only_the_unsettled_on_a_retry() {
+        let mut c = coordinator();
+        c.start(0);
+        let first = sends(&mut c);
+        let all = [("reconf", 3), ("reconf", 2), ("reconf", 1), ("reconf", 0)];
+        assert_eq!(first, all);
+        (0..4).for_each(|i| c.ack(i));
+        c.take_sends();
+        c.applied(0);
+        c.applied(2);
+        assert_eq!(c.tick(4), Some(ReconfigError::Timeout { attempt: 0 }));
+        let restaged: Vec<_> = sends(&mut c)
+            .into_iter()
+            .filter(|s| s.0 == "reconf")
+            .collect();
+        assert_eq!(restaged, [("reconf", 3), ("reconf", 1)]);
+    }
+
+    #[test]
+    fn the_release_waits_for_every_ack() {
+        let mut c = coordinator();
+        c.start(0);
+        c.take_sends();
+        for i in [3, 0, 2] {
+            c.ack(i);
+            assert!(c.take_sends().is_empty(), "released before all acks");
+        }
+        assert_eq!(c.unacked(), 1);
+        c.ack(1);
+        assert_eq!(sends(&mut c), [("propagate", 0), ("propagate", 1)]);
+    }
+
+    #[test]
+    fn a_retry_force_applies_at_the_stragglers_only() {
+        let mut c = coordinator();
+        miss_first_deadline(&mut c, &[0, 1]);
+        // Acks of attempt 0 count: the release follows the restage.
+        let retry = sends(&mut c);
+        let release: Vec<_> = retry.iter().filter(|s| s.0 != "reconf").copied().collect();
+        assert_eq!(release, [("force", 2), ("force", 3)]);
+        assert_eq!(retry.iter().position(|s| s.0 == "force"), Some(2));
+    }
+
+    #[test]
+    fn a_restaged_receiver_skips_state_its_old_owner_already_shipped() {
+        let mut c = coordinator();
+        miss_first_deadline(&mut c, &[]);
+        assert_eq!(reconf_of(&mut c, 3).receive, vec![Key::new(7)]);
+
+        let mut c = coordinator();
+        miss_first_deadline(&mut c, &[2]);
+        assert!(reconf_of(&mut c, 3).receive.is_empty());
+    }
+
+    #[test]
+    fn deadlines_are_floored_at_two_windows_and_back_off() {
+        let config = |deadline_windows, backoff| WaveConfig {
+            deadline_windows,
+            max_retries: 3,
+            backoff,
+        };
+        let spans = |cfg: WaveConfig| (0..4).map(|k| attempt_windows(&cfg, k)).collect::<Vec<_>>();
+        assert_eq!(spans(config(4, 2)), [4, 8, 16, 32]);
+        assert_eq!(spans(config(0, 3)), [2, 6, 18, 54]);
+        assert_eq!(spans(config(5, 0)), [5, 5, 5, 5]);
+        let mut c = coordinator();
+        c.start(10);
+        assert_eq!(c.tick(13), None);
+        assert!(c.tick(14).is_some());
+        assert_eq!((c.attempt, c.deadline), (1, 14 + 8));
+    }
+
+    #[test]
+    fn an_exit_settles_the_instance_and_nacks_the_wave() {
+        let mut c = coordinator();
+        c.exited(3);
+        c.start(0);
+        assert!(
+            !sends(&mut c).contains(&("reconf", 3)),
+            "no ③ to the exited"
+        );
+        (0..3).for_each(|i| c.ack(i));
+        (0..3).for_each(|i| c.applied(i));
+        assert_eq!(c.outcome(), Some(Err(ReconfigError::Nack)));
+
+        let mut c = coordinator();
+        c.start(0);
+        (0..4).for_each(|i| c.ack(i));
+        (0..4).for_each(|i| c.applied(i));
+        assert_eq!(c.outcome(), Some(Ok(())));
+    }
+
+    #[test]
+    fn duplicate_and_late_reports_are_ignored() {
+        let mut c = coordinator();
+        c.start(0);
+        c.take_sends();
+        c.ack(0);
+        c.ack(0);
+        assert_eq!(c.unacked(), 3);
+        c.applied(1);
+        c.ack(1);
+        assert!(c.settled(1), "an ack after the apply is late");
+        c.ack(2);
+        c.ack(3);
+        assert_eq!(sends(&mut c), [("propagate", 0)], "settled root 1 skipped");
+        c.ack(3);
+        assert!(c.take_sends().is_empty(), "one release per attempt");
+        (0..4).for_each(|i| c.applied(i));
+        c.applied(2);
+        assert_eq!(c.outcome(), Some(Ok(())));
+        assert_eq!(c.tick(1_000), None, "a done wave never times out");
+    }
+
+    #[test]
+    fn the_wave_is_abandoned_after_max_retries() {
+        let mut c = coordinator();
+        c.start(0);
+        assert_eq!(c.tick(4), Some(ReconfigError::Timeout { attempt: 0 }));
+        assert_eq!(c.tick(4 + 8), Some(ReconfigError::Timeout { attempt: 1 }));
+        assert_eq!(c.outcome(), None);
+        let last = Some(ReconfigError::Timeout { attempt: 2 });
+        assert_eq!(c.tick(12 + 16), last);
+        assert_eq!(c.outcome(), last.map(Err));
+        assert_eq!(c.tick(1_000), None);
     }
 }

@@ -29,8 +29,13 @@ const PARALLELISM: usize = 3;
 const TOTAL: u64 = 18_000;
 
 fn finite_sim() -> Simulation {
+    paced_sim(20_000.0)
+}
+
+/// [`finite_sim`] with each source emitting `rate` tuples/s.
+fn paced_sim(rate: f64) -> Simulation {
     let mut b = Topology::builder();
-    let s = b.source("S", PARALLELISM, SourceRate::PerSecond(20_000.0), |i| {
+    let s = b.source("S", PARALLELISM, SourceRate::PerSecond(rate), |i| {
         let mut c = i as u64;
         let mut left = TOTAL / PARALLELISM as u64;
         Box::new(move || {
@@ -198,6 +203,188 @@ fn manager_death_degrades_to_hash_with_zero_lost_state() {
         let expect = a_pois[hash.route(k, PARALLELISM) as usize].index();
         assert_eq!(owner_poi, expect, "key {k} not at its hash owner");
     }
+}
+
+/// Per-key counts of operator `name`; panics on a key held by two
+/// instances (split state).
+fn unsplit_counts(sim: &Simulation, name: &str) -> HashMap<Key, u64> {
+    let po = sim.topology().po_by_name(name).unwrap();
+    let mut counts = HashMap::new();
+    for poi in sim.poi_ids(po) {
+        for (&k, v) in sim.poi_state(poi) {
+            let fresh = counts.insert(k, v.as_count().unwrap()).is_none();
+            assert!(fresh, "key {k} of {name} held by two instances");
+        }
+    }
+    counts
+}
+
+/// Roll-forward with data still flowing: at 300 tuples/s per source
+/// the stream outlives a faulted wave's recovery. Each single dropped
+/// ③ or ⑤ makes the first attempt miss its deadline; the restaged
+/// attempt force-applies the rest of the wave. It must end with the
+/// fault-free run's routers, exact counts and no split key.
+#[test]
+fn a_dropped_wave_message_rolls_forward_with_data_flowing() {
+    let reference = {
+        let mut sim = paced_sim(300.0);
+        sim.run(4);
+        sim.start_reconfiguration(modulo_plan(&sim, "A")).unwrap();
+        assert!(sim.run_until_drained(2_000) < 2_000);
+        sim.checkpoint()
+            .unwrap()
+            .router_fingerprint(KEYS, PARALLELISM)
+    };
+    let reconfs = (0..9).map(|o| (ControlClass::SendReconf, o));
+    let propagates = (0..21).map(|o| (ControlClass::Propagate, o));
+    for (class, occurrence) in reconfs.chain(propagates) {
+        let case = format!("dropped {class:?} #{occurrence}");
+        let mut sim = paced_sim(300.0);
+        sim.install_fault_plan(
+            FaultPlan::new().with(FaultEvent::DropControl { class, occurrence }),
+        );
+        sim.run(4);
+        sim.start_reconfiguration(modulo_plan(&sim, "A")).unwrap();
+        let started = sim.window_index();
+        while sim.reconfig_active() {
+            assert!(
+                sim.window_index() - started < 21,
+                "{case}: wave still active"
+            );
+            sim.step();
+        }
+        assert!(!sim.is_drained(), "{case}: the stream drained first");
+        assert!(sim.run_until_drained(2_000) < 2_000, "{case}: no drain");
+
+        let windows = sim.metrics().windows();
+        let dropped: u64 = windows.iter().map(|w| w.dropped_control).sum();
+        assert_eq!(dropped, 1, "{case}");
+        let errors: Vec<_> = windows.iter().flat_map(|w| &w.reconfig_errors).collect();
+        assert_eq!(errors, [&ReconfigError::Timeout { attempt: 0 }], "{case}");
+        let routers = sim
+            .checkpoint()
+            .unwrap()
+            .router_fingerprint(KEYS, PARALLELISM);
+        assert!(
+            routers == reference,
+            "{case}: routers differ from a fault-free run"
+        );
+        for name in ["A", "B"] {
+            let total: u64 = unsplit_counts(&sim, name).values().sum();
+            assert_eq!(total, TOTAL, "{case}: {name}");
+        }
+    }
+}
+
+/// Without rollback an instance can crash after it applied while a ⑥
+/// it shipped is still in transit (here: dropped and awaiting
+/// retransmission). The respawn must not restore that key from the
+/// checkpoint, or the key would be split when the ⑥ lands.
+#[test]
+fn respawn_after_apply_skips_state_in_transit() {
+    let mut sim = paced_sim(300.0);
+    sim.set_auto_checkpoint(Some(2));
+    sim.install_fault_plan(FaultPlan::new().with(FaultEvent::DropControl {
+        class: ControlClass::Migrate,
+        occurrence: 0,
+    }));
+    sim.run(4);
+    let plan = modulo_plan(&sim, "A");
+    // The first ⑥ is the first key of the lowest-numbered old owner.
+    let (sender, key, _) = *plan.migrations.iter().min_by_key(|m| m.0).unwrap();
+    assert!(sim.poi_state(sender).contains_key(&key));
+    sim.start_reconfiguration(plan).unwrap();
+    while sim.poi_state(sender).contains_key(&key) {
+        sim.step();
+    }
+    sim.crash_poi(sender, None);
+    assert!(
+        !sim.poi_state(sender).contains_key(&key),
+        "the respawn restored a key whose state is in transit"
+    );
+    assert!(sim.run_until_drained(2_000) < 2_000);
+    unsplit_counts(&sim, "A");
+    unsplit_counts(&sim, "B");
+}
+
+/// A ③ of a retry that is delayed past the instance's force-apply must
+/// be dropped when it lands: restaging an applied instance would forget
+/// where its keys went and buffer again for state it already received.
+/// The wave starts at window 4, and ③ are counted in instance order:
+/// S0's root ⑤ is dropped, so S0, A and B miss the first deadline; B2
+/// crashes after its ack, and attempt 1 (window 20) restages S0, A0–A2
+/// and B0–B2 as ③ #9–#15. A0's (#10) is delayed past its force-apply,
+/// and B2's (#15) is lost, so the wave is still running when A0's ③
+/// lands.
+#[test]
+fn a_delayed_reconf_reaching_an_applied_instance_is_dropped() {
+    let mut sim = paced_sim(300.0);
+    let b2 = sim.poi_ids(sim.topology().po_by_name("B").unwrap())[2];
+    let (reconf, propagate) = (ControlClass::SendReconf, ControlClass::Propagate);
+    sim.install_fault_plan(
+        FaultPlan::new()
+            .with(FaultEvent::DropControl {
+                class: propagate,
+                occurrence: 0,
+            })
+            .with(FaultEvent::CrashPoi {
+                poi: b2.index(),
+                window: 6,
+            })
+            .with(FaultEvent::DelayControl {
+                class: reconf,
+                occurrence: 10,
+                windows: 3,
+            })
+            .with(FaultEvent::DropControl {
+                class: reconf,
+                occurrence: 15,
+            }),
+    );
+    sim.run(4);
+    sim.start_reconfiguration(modulo_plan(&sim, "A")).unwrap();
+    assert!(
+        sim.run_until_drained(2_000) < 2_000,
+        "pipeline failed to drain"
+    );
+    let windows = sim.metrics().windows();
+    let errors: Vec<_> = windows.iter().flat_map(|w| &w.reconfig_errors).collect();
+    let timeouts = [0, 1].map(|attempt| ReconfigError::Timeout { attempt });
+    assert_eq!(
+        errors,
+        [&timeouts[0], &timeouts[1]],
+        "completed on attempt 2"
+    );
+    let total: u64 = unsplit_counts(&sim, "A").values().sum();
+    assert_eq!(total, TOTAL, "A lost nothing: the crash was at B");
+    unsplit_counts(&sim, "B");
+}
+
+/// The crash plan of [`crash_during_propagate_run`] with data still
+/// flowing: the crashed A instance is restaged, not rolled back, and no
+/// key ends up split.
+#[test]
+fn crash_during_propagate_with_data_flowing_splits_no_key() {
+    let mut sim = paced_sim(300.0);
+    sim.set_auto_checkpoint(Some(2));
+    let a_poi = sim.poi_ids(sim.topology().po_by_name("A").unwrap())[1];
+    sim.install_fault_plan(
+        FaultPlan::new()
+            .with(FaultEvent::CrashPoi {
+                poi: a_poi.index(),
+                window: 5,
+            })
+            .with(FaultEvent::DropControl {
+                class: ControlClass::Migrate,
+                occurrence: 0,
+            }),
+    );
+    sim.run(4);
+    sim.start_reconfiguration(modulo_plan(&sim, "A")).unwrap();
+    assert!(sim.run_until_drained(2_000) < 2_000);
+    let b: u64 = unsplit_counts(&sim, "B").values().sum();
+    assert_eq!(b, TOTAL, "B lost nothing: the crash was at A");
+    unsplit_counts(&sim, "A");
 }
 
 /// Seeds recorded while building the recovery protocol: each one
