@@ -4,6 +4,7 @@
 //! dedicated to the application, and not collecting statistics").
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use streamloc_engine::Key;
 use streamloc_sketch::{CountMin, ExactCounter, SpaceSaving};
 use streamloc_workloads::{SplitMix64, Zipf};
 
@@ -105,5 +106,57 @@ fn bench_offer_weighted(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_offer, bench_offer_weighted, bench_merge_and_query);
+/// The `live-drain` tracker shape: a 134,477-tuple job of `(Key, Key)`
+/// pairs with about 15k distinct pairs, into a 50k-pair sketch. Nothing
+/// is evicted, so every offer updates a plain counter and every ordered
+/// read sorts the counters on demand.
+fn bench_live_drain_shape(c: &mut Criterion) {
+    const CAPACITY: usize = 50_000;
+    let zipf = Zipf::new(15_000, 0.5);
+    let mut rng = SplitMix64::new(13);
+    let pairs: Vec<(Key, Key)> = (0..134_477)
+        .map(|_| {
+            let id = zipf.sample(&mut rng) as u64;
+            (Key::new(id % 512), Key::new(1 << 20 | id))
+        })
+        .collect();
+    let mut unfilled = SpaceSaving::new(CAPACITY);
+    for &pair in &pairs {
+        unfilled.offer(pair);
+    }
+    assert!(
+        unfilled.len() < CAPACITY,
+        "the live-drain sketch never fills"
+    );
+
+    let mut group = c.benchmark_group("sketch/live_drain");
+    group.throughput(Throughput::Elements(pairs.len() as u64));
+    group.bench_function("offer_pairs_50k", |b| {
+        b.iter(|| {
+            let mut sketch = SpaceSaving::new(CAPACITY);
+            for &pair in &pairs {
+                sketch.offer(black_box(pair));
+            }
+            sketch.len()
+        });
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("sketch/unfilled");
+    group.bench_function("iter_all", |b| {
+        b.iter(|| black_box(&unfilled).iter().map(|e| e.count).sum::<u64>());
+    });
+    group.bench_function("top_1000", |b| {
+        b.iter(|| black_box(&unfilled).top_k(1000).len());
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_offer,
+    bench_offer_weighted,
+    bench_merge_and_query,
+    bench_live_drain_shape
+);
 criterion_main!(benches);

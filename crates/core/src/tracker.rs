@@ -36,7 +36,10 @@ impl PairTracker {
     /// Creates a tracker monitoring at most `capacity` distinct pairs.
     ///
     /// With 1 MB per instance the paper monitors on the order of 10^4
-    /// to 10^5 pairs; `capacity` plays that role here.
+    /// to 10^5 pairs; `capacity` plays that role here. Nothing is
+    /// allocated up front: memory grows with the number of distinct
+    /// pairs observed, up to `capacity`. Until the sketch fills, an
+    /// observation is one counter update (see [`SpaceSaving`]).
     ///
     /// # Panics
     ///
@@ -56,7 +59,9 @@ impl PairTracker {
     }
 
     /// A copy of the current pair statistics (the ② `SEND_METRICS`
-    /// payload).
+    /// payload). It reflects every observation that has returned. The
+    /// lock is held only to copy the sketch: a sketch that has not
+    /// filled yet is ordered when the copy is read, outside the lock.
     #[must_use]
     pub fn snapshot(&self) -> SpaceSaving<(Key, Key)> {
         self.sketch.lock().clone()
@@ -149,6 +154,66 @@ mod tests {
         for entry in a.iter() {
             assert_eq!(b.get(entry.key).map(|e| e.count), Some(entry.count));
         }
+    }
+
+    /// Before the sketch fills it holds plain counters; a snapshot
+    /// then orders them on demand. It must read exactly as a sketch
+    /// ordered from its first offer, and `total()` must count every
+    /// returned `observe_run`.
+    #[test]
+    fn snapshot_before_fill_equals_ordered_sketch() {
+        let tracker = PairTracker::new(64);
+        let mut handle = tracker.handle();
+        let mut ordered = SpaceSaving::new(64);
+        ordered.order_now();
+        let mut returned = 0;
+        for i in 0..200u64 {
+            let (pair, n) = ((Key::new(i % 11), Key::new(i % 5)), i % 4);
+            handle.observe_run(pair.0, pair.1, n);
+            returned += n;
+            ordered.offer_weighted(pair, n);
+            assert_eq!(tracker.total(), returned);
+        }
+        let snap = tracker.snapshot();
+        assert!(snap.len() < snap.capacity(), "the sketch must not fill");
+        let listed = |s: &SpaceSaving<(Key, Key)>| -> Vec<_> {
+            s.iter().map(|e| (*e.key, e.count, e.error)).collect()
+        };
+        assert_eq!(listed(&snap), listed(&ordered));
+        assert_eq!(snap.min_count(), ordered.min_count());
+        assert_eq!(snap.top_k(5), ordered.top_k(5));
+    }
+
+    /// Snapshots taken while two workers observe see every returned
+    /// observation and never a torn sketch: below capacity the counts
+    /// sum to `total()`, which only grows.
+    #[test]
+    fn concurrent_snapshots_see_every_returned_observation() {
+        let tracker = PairTracker::new(1_000);
+        let per_worker = 5_000u64;
+        let workers: Vec<_> = (0..2u64)
+            .map(|w| {
+                let mut handle = tracker.handle();
+                std::thread::spawn(move || {
+                    for i in 0..per_worker {
+                        handle.observe_run(Key::new(w), Key::new(i % 97), 1 + i % 3);
+                    }
+                })
+            })
+            .collect();
+        let mut last = 0;
+        while workers.iter().any(|h| !h.is_finished()) {
+            let snap = tracker.snapshot();
+            assert_eq!(snap.iter().map(|e| e.count).sum::<u64>(), snap.total());
+            assert!(snap.total() >= last, "total went backwards");
+            last = snap.total();
+        }
+        for h in workers {
+            h.join().unwrap();
+        }
+        let per_worker_total: u64 = (0..per_worker).map(|i| 1 + i % 3).sum();
+        assert_eq!(tracker.total(), 2 * per_worker_total);
+        assert_eq!(tracker.snapshot().total(), 2 * per_worker_total);
     }
 
     #[test]

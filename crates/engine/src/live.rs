@@ -39,7 +39,7 @@ use crate::obs::{Counter, MetricsRegistry, SpanRecorder, SpanSampler};
 use crate::operator::{OpContext, Operator, StateValue};
 use crate::reconfig::{ReconfigError, ReconfigPlan, WaveConfig};
 use crate::router::{DestRun, HashRouter, KeyRouter};
-use crate::sim::{PairObserver, Placement};
+use crate::sim::{ObserverSlots, PairObserver, Placement};
 use crate::topology::{EdgeId, Grouping, PoId, PoKind, PoiId, SourceRate, Topology, TupleSource};
 use crate::tuple::{tuple_run_len, Tuple};
 use crate::wave::{StagedReconf, WaveCoordinator, WaveParticipant, WaveSend};
@@ -99,9 +99,6 @@ struct EdgeCounters {
 /// An instrumentation registration for the live runtime:
 /// `(operator, instance, out edge, observed field, observer)`.
 pub type LiveObserver = (PoId, usize, EdgeId, usize, Box<dyn PairObserver>);
-
-/// The per-edge observer slots a worker holds.
-type ObserverSlots = HashMap<usize, Vec<(usize, Box<dyn PairObserver>)>>;
 
 /// A reconfiguration for the live runtime, in instance coordinates.
 pub struct LiveReconfig {
@@ -837,14 +834,15 @@ impl LiveRuntime {
             epoch: AtomicU64::new(0),
         });
 
-        let mut observer_map: HashMap<(usize, usize), ObserverSlots> = HashMap::new();
+        let mut observer_slots: Vec<ObserverSlots> =
+            (0..n_instances).map(|_| ObserverSlots::default()).collect();
         for (po, instance, edge, field, obs) in observers {
-            observer_map
-                .entry((po.index(), instance))
-                .or_default()
-                .entry(edge.index())
-                .or_default()
-                .push((field, obs));
+            assert!(
+                instance < parallelism[po.index()],
+                "observer on a missing instance"
+            );
+            let out_edges = topology.out_edges(po).iter().copied();
+            observer_slots[poi_base[po.index()] + instance].add(out_edges, edge, field, obs);
         }
 
         let Topology { pos, .. } = topology;
@@ -867,9 +865,7 @@ impl LiveRuntime {
                             stateful: *stateful,
                             state_field: state_fields[po_idx],
                             state: HashMap::new(),
-                            observers: observer_map
-                                .remove(&(po_idx, instance))
-                                .unwrap_or_default(),
+                            observers: std::mem::take(&mut observer_slots[base + instance]),
                             emitted: Vec::new(),
                             processed: 0,
                             span_rec: shared
@@ -1286,7 +1282,7 @@ impl OperatorCore {
                     continue;
                 }
             }
-            self.dispatch(run, key, ctx.po_idx, shared);
+            self.dispatch(run, key);
             self.processed += len as u64;
             if arrive.is_some() {
                 self.sampled.extend(run.iter().filter_map(|t| {
@@ -1327,7 +1323,7 @@ impl OperatorCore {
     /// Runs the operator on one run of tuples sharing state key `key`
     /// (any tuples when there is no state field), appending its output
     /// to `emitted` and feeding the pair observers coalesced runs.
-    fn dispatch(&mut self, run: &[Tuple], key: Option<Key>, po_idx: usize, shared: &WorkerShared) {
+    fn dispatch(&mut self, run: &[Tuple], key: Option<Key>) {
         let run_start = self.emitted.len();
         {
             let state_slot = if self.stateful {
@@ -1355,23 +1351,15 @@ impl OperatorCore {
                 t.set_span_origin(origin);
             }
         }
-        if self.observers.is_empty() {
-            return;
-        }
-        for out in &shared.outs[po_idx] {
-            let Some(slots) = self.observers.get_mut(&out.edge) else {
-                continue;
-            };
-            for (obs_field, obs) in slots {
-                // Emitted tuples within a run may still vary in the
-                // observed field; coalesce the emitted runs too so each
-                // costs one observe.
-                let mut out_rest = &self.emitted[run_start..];
-                while !out_rest.is_empty() {
-                    let out_len = tuple_run_len(out_rest, *obs_field);
-                    obs.observe_run(key, out_rest[0].key(*obs_field), out_len as u64);
-                    out_rest = &out_rest[out_len..];
-                }
+        for (obs_field, obs) in self.observers.iter_mut() {
+            // Emitted tuples within a run may still vary in the observed
+            // field; coalesce the emitted runs too so each costs one
+            // observe.
+            let mut out_rest = &self.emitted[run_start..];
+            while !out_rest.is_empty() {
+                let out_len = tuple_run_len(out_rest, obs_field);
+                obs.observe_run(key, out_rest[0].key(obs_field), out_len as u64);
+                out_rest = &out_rest[out_len..];
             }
         }
     }
@@ -1794,6 +1782,93 @@ mod tests {
         fn observe_run(&mut self, input: Key, output: Key, count: u64) {
             *self.0.lock().entry((input, output)).or_insert(0) += count;
         }
+    }
+
+    /// S → A, then A → B on field 1 and A → C on field 2. Only A's
+    /// second out edge carries an observer, and only on instance 0:
+    /// it must see exactly the `(field 0, field 2)` pairs instance 0
+    /// emits, and instance 1, with no observers, must feed nothing.
+    #[test]
+    fn observer_on_second_out_edge_sees_exactly_its_pairs() {
+        let total = 12_000u64;
+        let tuple = |c: u64| [Key::new(c % 10), Key::new(c % 7), Key::new(100 + c % 3)];
+        let build = || {
+            let mut b = Topology::builder();
+            let s = b.source("S", 1, SourceRate::Saturate, move |_| {
+                let mut c = 0u64;
+                Box::new(move || {
+                    c += 1;
+                    (c <= total).then(|| Tuple::new(tuple(c), 0))
+                })
+            });
+            let a = b.stateful("A", 2, CountOperator::factory());
+            let bb = b.stateful("B", 2, CountOperator::factory());
+            let cc = b.stateful("C", 2, CountOperator::factory());
+            b.connect(s, a, Grouping::fields_with(0, Arc::new(ModuloRouter)));
+            let first = b.connect(a, bb, Grouping::fields(1));
+            let second = b.connect(a, cc, Grouping::fields(2));
+            let topo = b.build().unwrap();
+            assert_eq!(topo.out_edges(a), &[first, second]);
+            (topo, a, second)
+        };
+
+        let mut want: HashMap<(Key, Key), u64> = HashMap::new();
+        for [k0, _, k2] in (1..=total).map(tuple) {
+            if k0.value() % 2 == 0 {
+                *want.entry((k0, k2)).or_insert(0) += 1;
+            }
+        }
+        for batch_size in [1, 64] {
+            let (topo, a, second) = build();
+            let pairs = PairCounts::default();
+            let observers: Vec<LiveObserver> = vec![(a, 0, second, 2, Box::new(pairs.clone()))];
+            let placement = Placement::aligned(&topo, 2);
+            let config = LiveConfig {
+                batch_size,
+                ..LiveConfig::default()
+            };
+            let rt = LiveRuntime::start_with_observers(topo, placement, 2, config, observers);
+            let _ = rt.join();
+            assert_eq!(*pairs.0.lock(), want, "batch_size={batch_size}");
+        }
+    }
+
+    /// Observers are fed in out-edge order, whatever order they were
+    /// registered in: a sketch shared by several edges then sees its
+    /// offers, and so its ties, in a fixed order. The observed field
+    /// is the state key, so each run costs each observer one call.
+    #[test]
+    fn observers_are_fed_in_out_edge_order() {
+        let mut b = Topology::builder();
+        let s = b.source("S", 1, SourceRate::Saturate, move |_| {
+            let mut c = 0u64;
+            Box::new(move || {
+                c += 1;
+                (c <= 5_000).then(|| Tuple::new([Key::new(c % 10), Key::new(c % 7)], 0))
+            })
+        });
+        let a = b.stateful("A", 1, CountOperator::factory());
+        let bb = b.stateful("B", 1, CountOperator::factory());
+        let cc = b.stateful("C", 1, CountOperator::factory());
+        b.connect(s, a, Grouping::fields(0));
+        let first = b.connect(a, bb, Grouping::fields(1));
+        let second = b.connect(a, cc, Grouping::fields(1));
+        let topo = b.build().unwrap();
+        let log: Arc<Mutex<Vec<EdgeId>>> = Arc::default();
+        let observers: Vec<LiveObserver> = [second, first]
+            .into_iter()
+            .map(|edge| {
+                let log = Arc::clone(&log);
+                let observer = move |_: Key, _: Key| log.lock().push(edge);
+                (a, 0, edge, 0, Box::new(observer) as Box<dyn PairObserver>)
+            })
+            .collect();
+        let placement = Placement::aligned(&topo, 1);
+        let config = LiveConfig::default();
+        let _ = LiveRuntime::start_with_observers(topo, placement, 1, config, observers).join();
+        let log = log.lock();
+        assert!(!log.is_empty());
+        assert!(log.chunks(2).all(|c| c == [first, second]));
     }
 
     /// Runs a topology and reduces it to a fully deterministic

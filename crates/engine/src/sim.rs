@@ -146,8 +146,47 @@ impl Placement {
     }
 }
 
-/// The per-edge observer slots an instance holds.
-pub(crate) type ObserverSlots = HashMap<EdgeId, Vec<(usize, Box<dyn PairObserver>)>>;
+/// One instance's pair observers, resolved once per out edge: slot `i`
+/// holds the `(observed tuple field, observer)` entries of the
+/// instance's `i`-th out edge, so feeding them walks a `Vec` instead of
+/// looking each edge up. An edge can carry several observers (a
+/// stateless fan-out behind it may lead to several stateful
+/// successors). Both runtimes use it.
+#[derive(Default)]
+pub(crate) struct ObserverSlots(Vec<Vec<(usize, Box<dyn PairObserver>)>>);
+
+impl ObserverSlots {
+    /// Adds `observer` of tuple field `field` on out edge `edge`, given
+    /// the instance's out edges in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edge` is not one of `out_edges`.
+    pub(crate) fn add(
+        &mut self,
+        mut out_edges: impl ExactSizeIterator<Item = EdgeId>,
+        edge: EdgeId,
+        field: usize,
+        observer: Box<dyn PairObserver>,
+    ) {
+        let outs = out_edges.len();
+        let slot = out_edges
+            .position(|e| e == edge)
+            .expect("instance has no such out edge");
+        if self.0.is_empty() {
+            self.0.resize_with(outs, Vec::new);
+        }
+        self.0[slot].push((field, observer));
+    }
+
+    /// Every observer with its observed field, in out-edge order.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut Box<dyn PairObserver>)> {
+        self.0
+            .iter_mut()
+            .flatten()
+            .map(|(field, observer)| (*field, observer))
+    }
+}
 
 /// A tuple waiting in an input queue, with its arrival mode.
 #[derive(Debug, Clone, Copy)]
@@ -205,9 +244,7 @@ pub(crate) struct PoiRt {
     pub(crate) input: VecDeque<InTuple>,
     pub(crate) state: HashMap<Key, StateValue>,
     pub(crate) out: Vec<OutRt>,
-    /// Per out-edge instrumentation: `(observed tuple field, observer)`
-    /// entries; an edge can carry several (a stateless fan-out behind
-    /// it may lead to several stateful successors).
+    /// Per out-edge instrumentation (§3.2).
     pub(crate) observers: ObserverSlots,
     /// This POI's side of the reconfiguration wave (see reconfig.rs).
     pub(crate) wave: WaveParticipant<VecDeque<InTuple>>,
@@ -507,7 +544,7 @@ impl Simulation {
                     input: VecDeque::new(),
                     state: HashMap::new(),
                     out,
-                    observers: HashMap::new(),
+                    observers: ObserverSlots::default(),
                     wave: WaveParticipant::new(topology.predecessor_instances(po_id)),
                 });
             }
@@ -724,15 +761,9 @@ impl Simulation {
         observed_field: usize,
         observer: Box<dyn PairObserver>,
     ) {
-        assert!(
-            self.pois[poi.index()].out.iter().any(|o| o.edge == edge),
-            "instance has no such out edge"
-        );
-        self.pois[poi.index()]
-            .observers
-            .entry(edge)
-            .or_default()
-            .push((observed_field, observer));
+        let poi = &mut self.pois[poi.index()];
+        let out_edges = poi.out.iter().map(|o| o.edge);
+        poi.observers.add(out_edges, edge, observed_field, observer);
     }
 
     /// Replaces the router `poi` uses on out-edge `edge`, immediately
@@ -1374,16 +1405,9 @@ impl Simulation {
                 // Pair instrumentation: input key × observed output
                 // key, per instrumented out edge.
                 if let Some(in_key) = state_key {
-                    if !poi.observers.is_empty() {
-                        for out in &poi.out {
-                            let Some(slots) = poi.observers.get_mut(&out.edge) else {
-                                continue;
-                            };
-                            for (field, observer) in slots {
-                                for t in &emitted {
-                                    observer.observe(in_key, t.key(*field));
-                                }
-                            }
+                    for (field, observer) in poi.observers.iter_mut() {
+                        for t in &emitted {
+                            observer.observe(in_key, t.key(field));
                         }
                     }
                 }
@@ -1835,6 +1859,82 @@ mod tests {
             after > before * 0.9,
             "throughput should recover: {before} -> {after}"
         );
+    }
+
+    /// S → A, then A → B on field 1 and A → C on field 2. Only A's
+    /// second out edge carries an observer, and only on instance 0:
+    /// it must see exactly the `(field 0, field 2)` pairs instance 0
+    /// emits, and instance 1, with no observers, must feed nothing.
+    #[test]
+    fn observer_on_second_out_edge_sees_exactly_its_pairs() {
+        use parking_lot::Mutex;
+        let total = 3_000u64;
+        let tuple = |c: u64| [Key::new(c % 10), Key::new(c % 7), Key::new(100 + c % 3)];
+        let mut b = Topology::builder();
+        let s = b.source("S", 1, SourceRate::Saturate, move |_| {
+            let mut c = 0u64;
+            Box::new(move || {
+                c += 1;
+                (c <= total).then(|| Tuple::new(tuple(c), 0))
+            })
+        });
+        let a = b.stateful("A", 2, CountOperator::factory());
+        let bb = b.stateful("B", 2, CountOperator::factory());
+        let cc = b.stateful("C", 2, CountOperator::factory());
+        b.connect(s, a, Grouping::fields_with(0, Arc::new(ModuloRouter)));
+        let first = b.connect(a, bb, Grouping::fields(1));
+        let second = b.connect(a, cc, Grouping::fields(2));
+        let mut s = sim(b.build().unwrap(), 2);
+        assert_eq!(s.topology().out_edges(a), &[first, second]);
+
+        let seen: Arc<Mutex<HashMap<(Key, Key), u64>>> = Arc::default();
+        let sink = Arc::clone(&seen);
+        let observer = move |i: Key, o: Key| *sink.lock().entry((i, o)).or_insert(0) += 1;
+        s.add_pair_observer(s.poi_ids(a)[0], second, 2, Box::new(observer));
+        s.run_until_drained(10_000);
+        assert!(s.is_drained());
+
+        let mut want: HashMap<(Key, Key), u64> = HashMap::new();
+        for [k0, _, k2] in (1..=total).map(tuple) {
+            if k0.value() % 2 == 0 {
+                *want.entry((k0, k2)).or_insert(0) += 1;
+            }
+        }
+        assert_eq!(*seen.lock(), want);
+    }
+
+    /// Observers are fed in out-edge order, whatever order they were
+    /// registered in: a sketch shared by several edges then sees its
+    /// offers, and so its ties, in a fixed order.
+    #[test]
+    fn observers_are_fed_in_out_edge_order() {
+        use parking_lot::Mutex;
+        let mut b = Topology::builder();
+        let s = b.source("S", 1, SourceRate::Saturate, move |_| {
+            let mut c = 0u64;
+            Box::new(move || {
+                c += 1;
+                (c <= 500).then(|| Tuple::new([Key::new(c % 10), Key::new(c % 7)], 0))
+            })
+        });
+        let a = b.stateful("A", 1, CountOperator::factory());
+        let bb = b.stateful("B", 1, CountOperator::factory());
+        let cc = b.stateful("C", 1, CountOperator::factory());
+        b.connect(s, a, Grouping::fields(0));
+        let first = b.connect(a, bb, Grouping::fields(1));
+        let second = b.connect(a, cc, Grouping::fields(1));
+        let mut s = sim(b.build().unwrap(), 1);
+        let log: Arc<Mutex<Vec<EdgeId>>> = Arc::default();
+        let poi = s.poi_ids(a)[0];
+        for edge in [second, first] {
+            let log = Arc::clone(&log);
+            let observer = move |_: Key, _: Key| log.lock().push(edge);
+            s.add_pair_observer(poi, edge, 1, Box::new(observer));
+        }
+        s.run_until_drained(10_000);
+        let log = log.lock();
+        assert_eq!(log.len(), 1_000);
+        assert!(log.chunks(2).all(|c| c == [first, second]));
     }
 
     #[test]

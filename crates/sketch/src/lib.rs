@@ -10,9 +10,9 @@
 //! This crate provides:
 //!
 //! * [`SpaceSaving`] — the stream-summary implementation with O(1)
-//!   amortized updates, per-item error bounds, descending iteration and
-//!   lossless merging of sketches collected from different operator
-//!   instances;
+//!   amortized updates (one hash-map update until the first eviction),
+//!   per-item error bounds, descending iteration and lossless merging
+//!   of sketches collected from different operator instances;
 //! * [`ExactCounter`] — an exact hash-map counter, used by the paper's
 //!   *offline* analysis mode (which counts pairs exactly over a sample)
 //!   and as a test oracle for the sketch.

@@ -1,6 +1,7 @@
 //! The SpaceSaving stream-summary structure.
 
-use std::collections::HashMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::hash_map::{Entry as MapEntry, HashMap};
 use std::fmt;
 use std::hash::Hash;
 
@@ -65,6 +66,32 @@ pub struct Entry<'a, K> {
     pub error: u64,
 }
 
+/// A monitored item of a summary that has not evicted yet.
+#[derive(Debug, Clone, Copy)]
+struct Counter {
+    count: u64,
+    error: u64,
+    /// Sequence number of the last offer that touched the item.
+    touched: u64,
+}
+
+impl Counter {
+    /// Position in the stream summary, ascending: by count, and among
+    /// equal counts by last touch — the summary lists a bucket's
+    /// entries most recently attached first, and an entry is
+    /// re-attached on every offer that touches it.
+    fn rank(&self) -> (u64, u64) {
+        (self.count, self.touched)
+    }
+
+    fn estimate(&self) -> Estimate {
+        Estimate {
+            count: self.count,
+            error: self.error,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct EntrySlot<K> {
     key: K,
@@ -83,12 +110,48 @@ struct BucketSlot {
     next: BucketId,
 }
 
+#[derive(Debug, Clone)]
+enum Store<K> {
+    /// Plain counters, kept until the first offer that must evict.
+    Flat {
+        counters: HashMap<K, Counter>,
+        /// Offers seen so far: the `touched` stamp of the latest one.
+        clock: u64,
+    },
+    /// The ordered stream summary, built at the first eviction.
+    Summary(Summary<K>),
+}
+
+impl<K> Store<K> {
+    fn flat() -> Self {
+        Self::Flat {
+            counters: HashMap::new(),
+            clock: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Self::Flat { counters, .. } => counters.len(),
+            Self::Summary(s) => s.index.len(),
+        }
+    }
+}
+
 /// SpaceSaving top-k summary (Metwally et al., ICDT 2005).
 ///
-/// Maintains at most `capacity` monitored items. Items are kept in a
-/// *stream summary*: a doubly-linked list of buckets ordered by count,
-/// each holding the items sharing that count. Incrementing an item by 1
-/// moves it at most one bucket forward, so updates are O(1) amortized.
+/// Maintains at most `capacity` monitored items. While there is room
+/// for every item offered, an offer is one hash-map update of a plain
+/// counter, and ordered reads sort the counters on the fly. The first
+/// offer that must evict sorts them once into a *stream summary*: a
+/// doubly-linked list of buckets ordered by count, each holding the
+/// items sharing that count. Incrementing an item by 1 moves it at most
+/// one bucket forward, so updates are O(1) amortized. The summary is
+/// kept until [`clear`](SpaceSaving::clear).
+///
+/// Both regimes yield the same state for every sequence of offers:
+/// equal counts are ordered most recently touched first, and an
+/// eviction removes the most recently touched item of minimum count.
 ///
 /// # Guarantees
 ///
@@ -116,12 +179,7 @@ struct BucketSlot {
 #[derive(Clone)]
 pub struct SpaceSaving<K> {
     capacity: usize,
-    index: HashMap<K, EntryId>,
-    entries: Vec<EntrySlot<K>>,
-    buckets: Vec<BucketSlot>,
-    free_buckets: Vec<BucketId>,
-    min_bucket: BucketId,
-    max_bucket: BucketId,
+    store: Store<K>,
     total: u64,
 }
 
@@ -129,7 +187,7 @@ impl<K: fmt::Debug> fmt::Debug for SpaceSaving<K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SpaceSaving")
             .field("capacity", &self.capacity)
-            .field("len", &self.index.len())
+            .field("len", &self.store.len())
             .field("total", &self.total)
             .finish_non_exhaustive()
     }
@@ -137,6 +195,8 @@ impl<K: fmt::Debug> fmt::Debug for SpaceSaving<K> {
 
 impl<K: Eq + Hash + Clone> SpaceSaving<K> {
     /// Creates a summary monitoring at most `capacity` distinct items.
+    /// Nothing is allocated up front: storage grows with the number of
+    /// distinct items, up to `capacity`.
     ///
     /// # Panics
     ///
@@ -146,12 +206,7 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
         assert!(capacity > 0, "SpaceSaving capacity must be positive");
         Self {
             capacity,
-            index: HashMap::with_capacity(capacity.min(1 << 20)),
-            entries: Vec::with_capacity(capacity.min(1 << 20)),
-            buckets: Vec::new(),
-            free_buckets: Vec::new(),
-            min_bucket: NIL,
-            max_bucket: NIL,
+            store: Store::flat(),
             total: 0,
         }
     }
@@ -159,13 +214,13 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
     /// Number of distinct items currently monitored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.store.len()
     }
 
     /// Returns `true` when no item is monitored.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     /// Maximum number of monitored items.
@@ -186,10 +241,9 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
     /// overestimation error of any newly inserted item.
     #[must_use]
     pub fn min_count(&self) -> u64 {
-        if self.min_bucket == NIL {
-            0
-        } else {
-            self.buckets[self.min_bucket].count
+        match &self.store {
+            Store::Flat { counters, .. } => counters.values().map(|c| c.count).min().unwrap_or(0),
+            Store::Summary(s) => s.min_count(),
         }
     }
 
@@ -205,72 +259,78 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
     /// Observes `weight` occurrences of `key` at once.
     ///
     /// Weighted updates follow the weighted SpaceSaving variant: an
-    /// evicting insertion inherits `min_count()` as its error. Updates
-    /// with large weights may walk several buckets and are O(distinct
-    /// counts) in the worst case; `weight == 1` is O(1) amortized.
+    /// evicting insertion inherits `min_count()` as its error. Until
+    /// the first eviction every offer is one hash-map update. After
+    /// it, updates with large weights may walk several buckets and are
+    /// O(distinct counts) in the worst case; `weight == 1` is O(1)
+    /// amortized.
     pub fn offer_weighted(&mut self, key: K, weight: u64) {
         if weight == 0 {
             return;
         }
         self.total += weight;
-        if let Some(&e) = self.index.get(&key) {
-            self.increase(e, weight);
-        } else if self.index.len() < self.capacity {
-            let e = self.entries.len();
-            self.entries.push(EntrySlot {
-                key: key.clone(),
-                error: 0,
-                bucket: NIL,
-                prev: NIL,
-                next: NIL,
-            });
-            self.index.insert(key, e);
-            self.place(e, weight, NIL, self.min_bucket);
-        } else {
-            // Evict one item from the minimum bucket.
-            let min = self.min_bucket;
-            let victim = self.buckets[min].head;
-            let inherited = self.buckets[min].count;
-            let old_key = std::mem::replace(&mut self.entries[victim].key, key.clone());
-            self.index.remove(&old_key);
-            self.index.insert(key, victim);
-            self.entries[victim].error = inherited;
-            self.increase(victim, weight);
-        }
+        let key = match &mut self.store {
+            Store::Flat { counters, clock } => {
+                *clock += 1;
+                let len = counters.len();
+                match counters.entry(key) {
+                    MapEntry::Occupied(mut slot) => {
+                        let counter = slot.get_mut();
+                        counter.count += weight;
+                        counter.touched = *clock;
+                        return;
+                    }
+                    MapEntry::Vacant(slot) if len < self.capacity => {
+                        slot.insert(Counter {
+                            count: weight,
+                            error: 0,
+                            touched: *clock,
+                        });
+                        return;
+                    }
+                    // The first offer that must evict orders the summary.
+                    MapEntry::Vacant(slot) => slot.into_key(),
+                }
+            }
+            Store::Summary(_) => key,
+        };
+        let capacity = self.capacity;
+        self.summary().offer(key, weight, capacity);
     }
 
     /// Returns the estimate for `key`, if monitored.
     #[must_use]
     pub fn get(&self, key: &K) -> Option<Estimate> {
-        self.index.get(key).map(|&e| {
-            let entry = &self.entries[e];
-            Estimate {
-                count: self.buckets[entry.bucket].count,
-                error: entry.error,
-            }
-        })
+        match &self.store {
+            Store::Flat { counters, .. } => counters.get(key).map(Counter::estimate),
+            Store::Summary(s) => s.get(key),
+        }
     }
 
     /// Returns `true` if `key` is currently monitored.
     #[must_use]
     pub fn contains(&self, key: &K) -> bool {
-        self.index.contains_key(key)
+        match &self.store {
+            Store::Flat { counters, .. } => counters.contains_key(key),
+            Store::Summary(s) => s.index.contains_key(key),
+        }
     }
 
     /// Iterates over monitored items in descending count order.
     ///
-    /// Ties are returned in arbitrary (but deterministic) order.
+    /// Equal counts are returned most recently touched first (after
+    /// [`from_counts`](SpaceSaving::from_counts): in key order). A
+    /// summary that never evicted sorts its counters here, in
+    /// O(len log len).
     #[must_use]
     pub fn iter(&self) -> Iter<'_, K> {
-        let entry = if self.max_bucket == NIL {
-            NIL
-        } else {
-            self.buckets[self.max_bucket].head
-        };
-        Iter {
-            sketch: self,
-            bucket: self.max_bucket,
-            entry,
+        match &self.store {
+            Store::Flat { counters, .. } => {
+                let mut items: Vec<(&K, Counter)> = counters.iter().map(|(k, c)| (k, *c)).collect();
+                items.sort_unstable_by_key(|(_, c)| Reverse(c.rank()));
+                Iter(IterInner::Sorted(items.into_iter()))
+            }
+            Store::Summary(s) => s.iter(),
         }
     }
 
@@ -295,16 +355,17 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
     ///
     /// The routing manager calls this after each reconfiguration so that
     /// statistics only reflect data observed since the last routing
-    /// update (paper §3.2).
+    /// update (paper §3.2). The summary goes back to plain counters.
     ///
     /// [`total`]: SpaceSaving::total
     pub fn clear(&mut self) {
-        self.index.clear();
-        self.entries.clear();
-        self.buckets.clear();
-        self.free_buckets.clear();
-        self.min_bucket = NIL;
-        self.max_bucket = NIL;
+        match &mut self.store {
+            Store::Flat { counters, clock } => {
+                counters.clear();
+                *clock = 0;
+            }
+            Store::Summary(_) => self.store = Store::flat(),
+        }
         self.total = 0;
     }
 
@@ -323,34 +384,26 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
         let mut items: Vec<(K, u64, u64)> = items.into_iter().collect();
         items.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         items.truncate(capacity);
-        // Insert in ascending order so each placement is O(1).
-        items.reverse();
         let mut out = Self::new(capacity);
-        let mut prev_bucket = NIL;
-        let mut prev_count = 0u64;
-        for (key, count, error) in items {
+        let Store::Flat { counters, clock } = &mut out.store else {
+            unreachable!("a new summary holds plain counters");
+        };
+        counters.reserve(items.len());
+        // Stamped as if offered in ascending (count, descending key)
+        // order: among equal counts the smallest key is the most
+        // recently touched, so it iterates first.
+        *clock = items.len() as u64;
+        for (i, (key, count, error)) in items.into_iter().enumerate() {
             if count == 0 {
                 continue;
             }
-            let e = out.entries.len();
-            out.entries.push(EntrySlot {
-                key: key.clone(),
+            let counter = Counter {
+                count,
                 error,
-                bucket: NIL,
-                prev: NIL,
-                next: NIL,
-            });
-            let dup = out.index.insert(key, e);
+                touched: *clock - i as u64,
+            };
+            let dup = counters.insert(key, counter);
             assert!(dup.is_none(), "from_counts: duplicate key");
-            if count == prev_count {
-                out.attach(e, prev_bucket);
-            } else {
-                debug_assert!(count > prev_count);
-                let b = out.new_bucket(count, prev_bucket, NIL);
-                out.attach(e, b);
-                prev_bucket = b;
-                prev_count = count;
-            }
             out.total += count - error;
         }
         out
@@ -363,41 +416,234 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
     /// which is added to both its count and its error.
     ///
     /// The routing manager uses this to combine the pair statistics
-    /// reported by every instance of an operator.
+    /// reported by every instance of an operator. Each input is read
+    /// once and sorted by key; the two sorted runs are then merged.
     #[must_use]
     pub fn merged(a: &Self, b: &Self, capacity: usize) -> Self
     where
         K: Ord,
     {
-        let a_min = if a.len() == a.capacity { a.min_count() } else { 0 };
-        let b_min = if b.len() == b.capacity { b.min_count() } else { 0 };
-        let mut combined: HashMap<K, (u64, u64)> = HashMap::with_capacity(a.len() + b.len());
-        for e in a.iter() {
-            combined.insert(e.key.clone(), (e.count, e.error));
-        }
-        for e in b.iter() {
-            combined
-                .entry(e.key.clone())
-                .and_modify(|(c, err)| {
-                    *c += e.count;
-                    *err += e.error;
-                })
-                .or_insert((e.count + a_min, e.error + a_min));
-        }
-        for entry in a.iter() {
-            // Keys of `a` missing from `b` get the b_min correction.
-            if b.get(entry.key).is_none() {
-                let slot = combined.get_mut(entry.key).expect("inserted above");
-                slot.0 += b_min;
-                slot.1 += b_min;
-            }
-        }
-        let mut out = Self::from_counts(
-            capacity,
-            combined.into_iter().map(|(k, (c, e))| (k, c, e)),
+        let (a_items, a_min) = a.by_key();
+        let (b_items, b_min) = b.by_key();
+        let mut combined = Vec::with_capacity(a_items.len() + b_items.len());
+        let (mut a_items, mut b_items) = (
+            a_items.into_iter().peekable(),
+            b_items.into_iter().peekable(),
         );
+        loop {
+            let order = match (a_items.peek(), b_items.peek()) {
+                (Some(x), Some(y)) => x.0.cmp(y.0),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => break,
+            };
+            let (key, count, error) = match order {
+                // Keys of `a` missing from `b` get the b_min correction.
+                Ordering::Less => {
+                    let (k, c, e) = a_items.next().expect("peeked");
+                    (k, c + b_min, e + b_min)
+                }
+                Ordering::Greater => {
+                    let (k, c, e) = b_items.next().expect("peeked");
+                    (k, c + a_min, e + a_min)
+                }
+                Ordering::Equal => {
+                    let (k, ca, ea) = a_items.next().expect("peeked");
+                    let (_, cb, eb) = b_items.next().expect("peeked");
+                    (k, ca + cb, ea + eb)
+                }
+            };
+            combined.push((key.clone(), count, error));
+        }
+        let mut out = Self::from_counts(capacity, combined);
         out.total = a.total + b.total;
         out
+    }
+
+    /// The `(key, count, error)` triples sorted by key, and the count a
+    /// key missing from this summary may have had in its stream:
+    /// `min_count()` when full, else 0.
+    fn by_key(&self) -> (Vec<(&K, u64, u64)>, u64)
+    where
+        K: Ord,
+    {
+        let mut items: Vec<(&K, u64, u64)> = match &self.store {
+            Store::Flat { counters, .. } => counters
+                .iter()
+                .map(|(k, c)| (k, c.count, c.error))
+                .collect(),
+            Store::Summary(s) => s
+                .entries
+                .iter()
+                .map(|e| (&e.key, s.buckets[e.bucket].count, e.error))
+                .collect(),
+        };
+        let missing = if items.len() == self.capacity {
+            items.iter().map(|&(_, c, _)| c).min().unwrap_or(0)
+        } else {
+            0
+        };
+        items.sort_unstable_by(|x, y| x.0.cmp(y.0));
+        (items, missing)
+    }
+
+    /// Orders the summary now instead of at the first eviction. Later
+    /// offers maintain the bucket list, until [`clear`]. Observable
+    /// state is the same either way; this exists so tests can compare
+    /// the two regimes.
+    ///
+    /// [`clear`]: SpaceSaving::clear
+    #[doc(hidden)]
+    pub fn order_now(&mut self) {
+        self.summary();
+    }
+
+    /// The stream summary, built from the plain counters on first use.
+    fn summary(&mut self) -> &mut Summary<K> {
+        if let Store::Flat { counters, .. } = &mut self.store {
+            self.store = Store::Summary(Summary::from_counters(std::mem::take(counters)));
+        }
+        match &mut self.store {
+            Store::Summary(s) => s,
+            Store::Flat { .. } => unreachable!("ordered above"),
+        }
+    }
+
+    /// Validates every structural invariant. Used by tests; O(len log len).
+    ///
+    /// # Panics
+    ///
+    /// Panics (with a description) on any violated invariant.
+    pub fn check_invariants(&self) {
+        assert!(self.len() <= self.capacity, "len exceeds capacity");
+        match &self.store {
+            Store::Flat { counters, clock } => {
+                let mut stamps: Vec<u64> = Vec::with_capacity(counters.len());
+                for c in counters.values() {
+                    assert!(c.count > 0, "zero count monitored");
+                    assert!(c.error <= c.count, "error exceeds count");
+                    assert!(
+                        (1..=*clock).contains(&c.touched),
+                        "touched stamp out of range"
+                    );
+                    stamps.push(c.touched);
+                }
+                stamps.sort_unstable();
+                assert!(
+                    stamps.windows(2).all(|w| w[0] < w[1]),
+                    "touched stamps not unique"
+                );
+            }
+            Store::Summary(s) => s.check_invariants(),
+        }
+    }
+}
+
+/// The stream summary: buckets of equal count in a doubly-linked list
+/// ascending by count, each listing its entries most recently attached
+/// first.
+#[derive(Debug, Clone)]
+struct Summary<K> {
+    index: HashMap<K, EntryId>,
+    entries: Vec<EntrySlot<K>>,
+    buckets: Vec<BucketSlot>,
+    free_buckets: Vec<BucketId>,
+    min_bucket: BucketId,
+    max_bucket: BucketId,
+}
+
+impl<K: Eq + Hash + Clone> Summary<K> {
+    /// Builds the summary of `counters` by attaching them in ascending
+    /// (count, last touch) order, so each bucket lists its entries most
+    /// recently touched first — the order unit offers would have left.
+    fn from_counters(counters: HashMap<K, Counter>) -> Self {
+        let mut items: Vec<(K, Counter)> = counters.into_iter().collect();
+        items.sort_unstable_by_key(|(_, c)| c.rank());
+        let mut out = Self {
+            index: HashMap::with_capacity(items.len()),
+            entries: Vec::with_capacity(items.len()),
+            buckets: Vec::new(),
+            free_buckets: Vec::new(),
+            min_bucket: NIL,
+            max_bucket: NIL,
+        };
+        for (key, counter) in items {
+            let e = out.entries.len();
+            out.entries.push(EntrySlot {
+                key: key.clone(),
+                error: counter.error,
+                bucket: NIL,
+                prev: NIL,
+                next: NIL,
+            });
+            out.index.insert(key, e);
+            let last = out.max_bucket;
+            let bucket = if last != NIL && out.buckets[last].count == counter.count {
+                last
+            } else {
+                out.new_bucket(counter.count, last, NIL)
+            };
+            out.attach(e, bucket);
+        }
+        out
+    }
+
+    fn min_count(&self) -> u64 {
+        if self.min_bucket == NIL {
+            0
+        } else {
+            self.buckets[self.min_bucket].count
+        }
+    }
+
+    fn offer(&mut self, key: K, weight: u64, capacity: usize) {
+        if let Some(&e) = self.index.get(&key) {
+            self.increase(e, weight);
+        } else if self.index.len() < capacity {
+            let e = self.entries.len();
+            self.entries.push(EntrySlot {
+                key: key.clone(),
+                error: 0,
+                bucket: NIL,
+                prev: NIL,
+                next: NIL,
+            });
+            self.index.insert(key, e);
+            self.place(e, weight, NIL, self.min_bucket);
+        } else {
+            // Evict one item from the minimum bucket.
+            let min = self.min_bucket;
+            let victim = self.buckets[min].head;
+            let inherited = self.buckets[min].count;
+            let old_key = std::mem::replace(&mut self.entries[victim].key, key.clone());
+            self.index.remove(&old_key);
+            self.index.insert(key, victim);
+            self.entries[victim].error = inherited;
+            self.increase(victim, weight);
+        }
+    }
+
+    fn get(&self, key: &K) -> Option<Estimate> {
+        self.index.get(key).map(|&e| {
+            let entry = &self.entries[e];
+            Estimate {
+                count: self.buckets[entry.bucket].count,
+                error: entry.error,
+            }
+        })
+    }
+
+    fn iter(&self) -> Iter<'_, K> {
+        let entry = if self.max_bucket == NIL {
+            NIL
+        } else {
+            self.buckets[self.max_bucket].head
+        };
+        Iter(IterInner::Summary {
+            summary: self,
+            bucket: self.max_bucket,
+            entry,
+        })
     }
 
     /// Moves entry `e` forward by `add` counts.
@@ -509,13 +755,7 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
         self.buckets[bucket].len += 1;
     }
 
-    /// Validates every structural invariant. Used by tests; O(len).
-    ///
-    /// # Panics
-    ///
-    /// Panics (with a description) on any violated invariant.
-    pub fn check_invariants(&self) {
-        assert!(self.index.len() <= self.capacity, "len exceeds capacity");
+    fn check_invariants(&self) {
         let mut seen_entries = 0usize;
         let mut b = self.min_bucket;
         let mut prev_bucket = NIL;
@@ -558,33 +798,55 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
 
 /// Descending-count iterator over a [`SpaceSaving`] summary.
 #[derive(Debug)]
-pub struct Iter<'a, K> {
-    sketch: &'a SpaceSaving<K>,
-    bucket: BucketId,
-    entry: EntryId,
+pub struct Iter<'a, K>(IterInner<'a, K>);
+
+#[derive(Debug)]
+enum IterInner<'a, K> {
+    /// The counters of a summary that never evicted, sorted.
+    Sorted(std::vec::IntoIter<(&'a K, Counter)>),
+    /// A walk of the stream summary's bucket list.
+    Summary {
+        summary: &'a Summary<K>,
+        bucket: BucketId,
+        entry: EntryId,
+    },
 }
 
 impl<'a, K: Eq + Hash + Clone> Iterator for Iter<'a, K> {
     type Item = Entry<'a, K>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.bucket == NIL {
+        let (summary, bucket, entry) = match &mut self.0 {
+            IterInner::Sorted(items) => {
+                return items.next().map(|(key, c)| Entry {
+                    key,
+                    count: c.count,
+                    error: c.error,
+                })
+            }
+            IterInner::Summary {
+                summary,
+                bucket,
+                entry,
+            } => (*summary, bucket, entry),
+        };
+        if *bucket == NIL {
             return None;
         }
-        while self.entry == NIL {
-            self.bucket = self.sketch.buckets[self.bucket].prev;
-            if self.bucket == NIL {
+        while *entry == NIL {
+            *bucket = summary.buckets[*bucket].prev;
+            if *bucket == NIL {
                 return None;
             }
-            self.entry = self.sketch.buckets[self.bucket].head;
+            *entry = summary.buckets[*bucket].head;
         }
-        let slot = &self.sketch.entries[self.entry];
+        let slot = &summary.entries[*entry];
         let item = Entry {
             key: &slot.key,
-            count: self.sketch.buckets[self.bucket].count,
+            count: summary.buckets[*bucket].count,
             error: slot.error,
         };
-        self.entry = slot.next;
+        *entry = slot.next;
         Some(item)
     }
 }
@@ -837,7 +1099,10 @@ mod tests {
 
     #[test]
     fn guaranteed_is_count_minus_error() {
-        let e = Estimate { count: 10, error: 3 };
+        let e = Estimate {
+            count: 10,
+            error: 3,
+        };
         assert_eq!(e.guaranteed(), 7);
         let exact = Estimate { count: 5, error: 0 };
         assert_eq!(exact.guaranteed(), 5);
@@ -846,7 +1111,10 @@ mod tests {
     /// A corrupted estimate (`error > count`) must not overflow in
     /// release builds; the subtraction saturates at zero.
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "Estimate invariant violated"))]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "Estimate invariant violated")
+    )]
     fn guaranteed_saturates_on_corrupt_estimate() {
         let corrupt = Estimate { count: 2, error: 5 };
         assert_eq!(corrupt.guaranteed(), 0);
