@@ -17,7 +17,7 @@ use std::sync::Arc;
 use crate::key::Key;
 use crate::operator::StateValue;
 use crate::router::KeyRouter;
-use crate::sim::{OutKind, Simulation};
+use crate::sim::Simulation;
 use crate::topology::EdgeId;
 
 /// A point-in-time snapshot of a [`Simulation`]'s recoverable state.
@@ -120,7 +120,7 @@ impl Simulation {
         }
         Ok(ClusterCheckpoint {
             window_index: self.window_index(),
-            states: self.pois.iter().map(|p| p.state.clone()).collect(),
+            states: self.pois.iter().map(|p| p.core.state.clone()).collect(),
             routers: self.snapshot_routers(),
         })
     }
@@ -130,15 +130,7 @@ impl Simulation {
     pub(crate) fn snapshot_routers(&self) -> Vec<Vec<(EdgeId, Arc<dyn KeyRouter>)>> {
         self.pois
             .iter()
-            .map(|p| {
-                p.out
-                    .iter()
-                    .filter_map(|o| match &o.kind {
-                        OutKind::Fields { router, .. } => Some((o.edge, Arc::clone(router))),
-                        _ => None,
-                    })
-                    .collect()
-            })
+            .map(|p| p.routes.routers().collect())
             .collect()
     }
 
@@ -163,12 +155,8 @@ impl Simulation {
             return Err(CheckpointError::ShapeMismatch);
         }
         for (poi, routers) in self.pois.iter().zip(&checkpoint.routers) {
-            let fields_edges = poi
-                .out
-                .iter()
-                .filter(|o| matches!(o.kind, OutKind::Fields { .. }))
-                .count();
-            if fields_edges != routers.len() {
+            let edges = routers.iter().map(|(edge, _)| *edge);
+            if !poi.routes.routers().map(|(e, _)| e).eq(edges) {
                 return Err(CheckpointError::ShapeMismatch);
             }
         }
@@ -187,15 +175,9 @@ impl Simulation {
                 .map(|b| b.len() as i64)
                 .sum::<i64>();
             poi.input.clear();
-            poi.state = state.clone();
+            poi.core.state = state.clone();
             for (edge, router) in routers {
-                for out in poi.out.iter_mut() {
-                    if out.edge == *edge {
-                        if let OutKind::Fields { router: slot, .. } = &mut out.kind {
-                            *slot = Arc::clone(router);
-                        }
-                    }
-                }
+                poi.routes.set_router(*edge, Arc::clone(router));
             }
         }
         for server in &mut self.servers {

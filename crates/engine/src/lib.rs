@@ -61,6 +61,7 @@
 mod checkpoint;
 mod cluster;
 mod fault;
+mod instance;
 mod key;
 mod live;
 mod metrics;
@@ -77,6 +78,7 @@ mod wave;
 pub use checkpoint::{CheckpointError, ClusterCheckpoint};
 pub use cluster::ClusterSpec;
 pub use fault::{ControlClass, ControlFate, FaultEvent, FaultInjector, FaultPlan};
+pub use instance::PairObserver;
 pub use key::{splitmix64, Key, KeyInterner};
 pub use live::{InstanceReport, LiveConfig, LiveObserver, LiveReconfig, LiveRuntime};
 pub use metrics::{EdgeWindowStats, MetricsLog, WindowMetrics};
@@ -93,7 +95,7 @@ pub use router::{
     key_run_len, push_dest_run, DestRun, HashRouter, KeyRouter, ModuloRouter, PartialKeyRouter,
     PermutationRouter, ShiftedRouter,
 };
-pub use sim::{PairObserver, Placement, SimConfig, Simulation};
+pub use sim::{Placement, SimConfig, Simulation};
 pub use topology::{
     BuildTopologyError, Edge, EdgeId, Grouping, PoId, PoSpec, PoiId, ServerId, SourceFactory,
     SourceRate, Topology, TopologyBuilder, TupleSource,

@@ -6,15 +6,17 @@
 //! The simulator (`sim.rs`) answers *performance* questions with a
 //! controlled cost model; this runtime answers *functional* ones — it
 //! executes user operators for real, under real thread interleavings,
-//! with real backpressure. Each instance runs the reconfiguration wave
-//! (SEND_RECONF → ACK → PROPAGATE → MIGRATE with tuple buffering) on
-//! the same sans-IO `WaveParticipant` as the simulator, and the wave
-//! driver runs the same `WaveCoordinator` (stage, gate, release, and
-//! roll-forward recovery), here against genuine concurrency instead of
-//! deterministic windows. "Servers" are placement tags: transfers
-//! between instances with different tags are counted as remote, so
-//! locality statistics remain meaningful even though everything runs in
-//! one process.
+//! with real backpressure. Both runtimes run the same sans-IO code:
+//! each instance routes, dispatches and holds tuples through the data
+//! plane of `instance.rs` (here in whole batches), runs the
+//! reconfiguration wave (SEND_RECONF → ACK → PROPAGATE → MIGRATE with
+//! tuple buffering) on the same `WaveParticipant`, and the wave driver
+//! runs the same `WaveCoordinator` (stage, gate, release, and
+//! roll-forward recovery). This module adds only the threads, channels
+//! and batching, and meets genuine concurrency instead of deterministic
+//! windows. "Servers" are placement tags: transfers between instances
+//! with different tags are counted as remote, so locality statistics
+//! remain meaningful even though everything runs in one process.
 //!
 //! Termination is by end-of-stream tokens: an exhausted (or stopped)
 //! source sends `Eos` to every successor instance; an operator
@@ -23,7 +25,7 @@
 //! [`LiveRuntime::join`] returns exactly when the pipeline has fully
 //! drained.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -34,15 +36,16 @@ use parking_lot::Mutex;
 
 use crate::checkpoint::ClusterCheckpoint;
 use crate::fault::{ControlClass, ControlFate, FaultInjector, FaultPlan};
+use crate::instance::{ObserverSlots, OperatorCore, OutRoutes, PairObserver};
 use crate::key::Key;
 use crate::obs::{Counter, MetricsRegistry, SpanRecorder, SpanSampler};
-use crate::operator::{OpContext, Operator, StateValue};
+use crate::operator::StateValue;
 use crate::reconfig::{ReconfigError, ReconfigPlan, WaveConfig};
-use crate::router::{DestRun, HashRouter, KeyRouter};
-use crate::sim::{ObserverSlots, PairObserver, Placement};
-use crate::topology::{EdgeId, Grouping, PoId, PoKind, PoiId, SourceRate, Topology, TupleSource};
+use crate::router::{DestRun, KeyRouter};
+use crate::sim::Placement;
+use crate::topology::{EdgeId, PoId, PoKind, PoSpec, PoiId, SourceRate, Topology, TupleSource};
 use crate::tuple::{tuple_run_len, Tuple};
-use crate::wave::{StagedReconf, WaveCoordinator, WaveParticipant, WaveSend};
+use crate::wave::{Hold, StagedReconf, WaveCoordinator, WaveParticipant, WaveSend};
 
 /// Messages on an instance's inbox. Data and control share one FIFO
 /// channel per receiver (like a TCP connection in Storm), so per-
@@ -208,6 +211,9 @@ struct LiveHot {
     batch_control_flushes: Counter,
     batch_drops: Counter,
     batch_dropped_tuples: Counter,
+    buffered_tuples: Counter,
+    late_forwarded: Counter,
+    forward_lost: Counter,
 }
 
 impl LiveHot {
@@ -251,18 +257,20 @@ impl LiveHot {
                 "live_batch_dropped_tuples_total",
                 "tuples lost inside fault-dropped Batch messages",
             ),
+            buffered_tuples: reg.counter(
+                "live_buffered_tuples_total",
+                "tuples buffered while their key's state was in flight",
+            ),
+            late_forwarded: reg.counter(
+                "live_late_forwarded_total",
+                "stragglers forwarded from old to new key owners",
+            ),
+            forward_lost: reg.counter(
+                "live_forward_lost_tuples_total",
+                "forwarded stragglers lost because the new owner had exited",
+            ),
         }
     }
-}
-
-/// Static routing description of one out edge (shared by the
-/// instances of its sender operator).
-struct OutInfo {
-    edge: usize,
-    dest_po: usize,
-    field: Option<usize>,
-    local_or_shuffle: bool,
-    router: Arc<dyn KeyRouter>,
 }
 
 /// Everything workers share.
@@ -272,7 +280,6 @@ struct WorkerShared {
     edges: Vec<EdgeCounters>,
     stop: AtomicBool,
     coord: Sender<CoordMsg>,
-    outs: Vec<Vec<OutInfo>>,
     parallelism: Vec<usize>,
     poi_base: Vec<usize>,
     /// Fault injector consulted for every control message: ③/⑤ by the
@@ -339,9 +346,8 @@ fn send_batch(shared: &WorkerShared, dest_idx: usize, batch: Vec<Tuple>) {
     let _ = shared.inboxes[dest_idx].send(Msg::Batch(batch));
 }
 
-/// Per-worker context: the routing state threaded through the
-/// routing routine, and this instance's side of the reconfiguration
-/// wave.
+/// Per-worker context: this instance's out edges, its send buffers,
+/// its side of the reconfiguration wave, and its span bookkeeping.
 struct WorkerCtx {
     po_idx: usize,
     my_idx: usize,
@@ -350,68 +356,50 @@ struct WorkerCtx {
     successors: Vec<usize>,
     /// This instance's side of the reconfiguration wave, including the
     /// data plane's `pending` buffers and `departed` forwards.
-    wave: WaveParticipant<Vec<Tuple>>,
-    rr: usize,
-    overrides: HashMap<usize, Arc<dyn KeyRouter>>,
-    /// Round-robin destinations per out edge (instance indices within
-    /// the destination operator), computed once at start: every
-    /// instance for `Shuffle`, the co-located ones for
-    /// `LocalOrShuffle` (every instance when none is co-located).
-    /// Empty for fields-grouped edges.
-    shuffle_targets: Vec<Vec<u32>>,
+    wave: WaveParticipant<VecDeque<Tuple>>,
+    /// Where this instance's output goes (shared with the simulator).
+    routes: OutRoutes,
     /// Per-destination send buffers (indexed by global instance), the
     /// data-plane batching of `LiveConfig::batch_size`. Edge counters
     /// and observers get bulk adds per routed batch, so locality
     /// statistics do not depend on the batch size.
     out_buf: Vec<Vec<Tuple>>,
     batch: usize,
-    /// Scratch column of routing keys extracted from a batch.
-    key_buf: Vec<Key>,
     /// Scratch `(dest, len)` runs of one out edge.
     run_buf: Vec<DestRun>,
+    /// Tuples processed (for a source: emitted).
+    processed: u64,
+    /// Span tracing: each worker owns a recorder (idempotent registry
+    /// registration shares the histograms across workers); `None` when
+    /// the sampler is off, so the hot path pays one never-taken branch.
+    span_rec: Option<SpanRecorder>,
+    /// Scratch `(hop_send_ns, remote, origin_ns)` stamps of the sampled
+    /// tuples one call processed.
+    sampled: Vec<(u64, bool, u64)>,
 }
 
 impl WorkerCtx {
     fn new(
-        po_idx: usize,
+        topology: &Topology,
+        placement: &Placement,
+        po: PoId,
         instance: usize,
-        preds: usize,
-        successors: Vec<usize>,
         shared: &WorkerShared,
     ) -> Self {
-        let my_idx = shared.poi_base[po_idx] + instance;
-        let my_server = shared.server[my_idx];
-        let shuffle_targets = shared.outs[po_idx]
-            .iter()
-            .map(|out| {
-                if out.field.is_some() {
-                    return Vec::new();
-                }
-                let base = shared.poi_base[out.dest_po];
-                let all = 0..shared.parallelism[out.dest_po] as u32;
-                let locals: Vec<u32> = all
-                    .clone()
-                    .filter(|&i| shared.server[base + i as usize] == my_server)
-                    .collect();
-                if out.local_or_shuffle && !locals.is_empty() {
-                    locals
-                } else {
-                    all.collect()
-                }
-            })
-            .collect();
         Self {
-            po_idx,
-            my_idx,
-            successors,
-            wave: WaveParticipant::new(preds),
-            rr: instance,
-            overrides: HashMap::new(),
-            shuffle_targets,
+            po_idx: po.index(),
+            my_idx: shared.poi_base[po.index()] + instance,
+            successors: topology.successor_instances(po),
+            wave: WaveParticipant::new(topology.predecessor_instances(po)),
+            routes: OutRoutes::new(topology, placement, po, instance),
             out_buf: vec![Vec::new(); shared.inboxes.len()],
             batch: shared.batch_size,
-            key_buf: Vec::new(),
             run_buf: Vec::new(),
+            processed: 0,
+            span_rec: shared
+                .sampler
+                .map(|_| SpanRecorder::new(shared.span_metrics.clone())),
+            sampled: Vec::new(),
         }
     }
 
@@ -475,8 +463,9 @@ impl WorkerCtx {
                 // configuration and must stay ahead of the `Propagate`s
                 // in every channel.
                 self.flush_outputs(shared, true);
+                // A router on anything but a fields out edge is ignored.
                 for (edge, router) in applied.routers {
-                    self.overrides.insert(edge.index(), router);
+                    self.routes.set_router(edge, router);
                 }
                 if let Some(state) = state {
                     for (key, dest) in applied.send {
@@ -514,12 +503,7 @@ impl WorkerCtx {
     /// Shuts this instance down: the last partial batches precede its
     /// `Eos` tokens in every successor channel (per-sender FIFO), then
     /// the coordinator learns it exited. Returns the final report.
-    fn exit(
-        mut self,
-        shared: &WorkerShared,
-        state: HashMap<Key, StateValue>,
-        processed: u64,
-    ) -> InstanceReport {
+    fn exit(mut self, shared: &WorkerShared, state: HashMap<Key, StateValue>) -> InstanceReport {
         self.flush_outputs(shared, true);
         for &succ in &self.successors {
             let _ = shared.inboxes[succ].send(Msg::Eos);
@@ -529,23 +513,20 @@ impl WorkerCtx {
             po: PoId(self.po_idx),
             instance: self.my_idx - shared.poi_base[self.po_idx],
             state,
-            processed,
+            processed: self.processed,
         }
     }
 
-    /// The routing routine: sends `tuples` down every out edge of this
-    /// operator. Each edge turns the batch into `(dest, len)` runs —
-    /// [`KeyRouter::route_batch`] on the key column for fields edges
-    /// (one route per run of equal keys), round-robin over
-    /// [`shuffle_targets`](Self::shuffle_targets) for shuffle edges —
-    /// and appends each run to its destination's send buffer. Edge and
-    /// hot counters get one relaxed add per edge per batch instead of
-    /// one contended RMW per tuple. Edges are routed one after another,
-    /// so a tuple's copies on different edges are not interleaved;
-    /// per-destination order (all FIFO guarantees rely on) is kept.
+    /// Sends `tuples` down every out edge of this instance. Each edge
+    /// turns the batch into `(dest, len)` runs by the shared
+    /// [`OutRoutes::route`], and each run is appended to its
+    /// destination's send buffer. Edge and hot counters get one relaxed
+    /// add per edge per batch instead of one contended RMW per tuple.
+    /// Edges are routed one after another, so a tuple's copies on
+    /// different edges are not interleaved; per-destination order (all
+    /// FIFO guarantees rely on) is kept.
     fn route_out_batch(&mut self, shared: &WorkerShared, tuples: &mut [Tuple]) {
-        let outs = &shared.outs[self.po_idx];
-        if tuples.is_empty() || outs.is_empty() {
+        if tuples.is_empty() || self.routes.is_empty() {
             return;
         }
         let my_server = shared.server[self.my_idx];
@@ -553,36 +534,13 @@ impl WorkerCtx {
         // sampler off ⇒ the stamping pass is skipped.
         let hop_now = shared.sampler.as_ref().map(|_| span_now_ns(&shared.clock));
         let mut runs = std::mem::take(&mut self.run_buf);
-        for (out_pos, out) in outs.iter().enumerate() {
-            runs.clear();
-            match out.field {
-                Some(field) => {
-                    self.key_buf.clear();
-                    self.key_buf.extend(tuples.iter().map(|t| t.key(field)));
-                    self.overrides
-                        .get(&out.edge)
-                        .unwrap_or(&out.router)
-                        .route_batch(&self.key_buf, shared.parallelism[out.dest_po], &mut runs);
-                }
-                None => {
-                    let targets = &self.shuffle_targets[out_pos];
-                    for _ in 0..tuples.len() {
-                        self.rr = self.rr.wrapping_add(1);
-                        let dest = targets[self.rr % targets.len()];
-                        match runs.last_mut() {
-                            Some(run) if run.dest == dest => run.len += 1,
-                            _ => runs.push(DestRun { dest, len: 1 }),
-                        }
-                    }
-                }
-            }
-
-            let base = shared.poi_base[out.dest_po];
+        for pos in 0..self.routes.len() {
+            let edge = self.routes.route(pos, tuples, &mut runs);
             let (mut local, mut remote) = (0u64, 0u64);
             let mut offset = 0usize;
             for run in &runs {
                 let len = run.len as usize;
-                let dest_idx = base + run.dest as usize;
+                let dest_idx = run.dest as usize;
                 let remote_hop = shared.server[dest_idx] != my_server;
                 if remote_hop {
                     remote += u64::from(run.len);
@@ -621,7 +579,7 @@ impl WorkerCtx {
                 }
             }
 
-            let counters = &shared.edges[out.edge];
+            let counters = &shared.edges[edge.index()];
             if local > 0 {
                 counters.local.fetch_add(local, Ordering::Relaxed);
             }
@@ -631,10 +589,95 @@ impl WorkerCtx {
             }
         }
         self.run_buf = runs;
-        shared
-            .hot
-            .tuples_routed
-            .add((tuples.len() * outs.len()) as u64);
+        let routed = tuples.len() * self.routes.len();
+        shared.hot.tuples_routed.add(routed as u64);
+    }
+
+    /// The processing routine. Every tuple goes through it: a
+    /// `Msg::Data` as a one-tuple slice, a `Msg::Batch` whole, and the
+    /// buffered tuples released by `Migrate` or adopted at shutdown.
+    ///
+    /// Walks `tuples` in runs of equal state key and applies the
+    /// wave's hold rule to each. A buffered run waits in its `pending`
+    /// buffer; a departed run is forwarded to the new owner as one
+    /// `Msg::Batch` (straight to its inbox: no batch counters, no batch
+    /// fault gate); an owned run goes through the core's dispatch. The
+    /// call's output is routed once at the end. Span hops are recorded
+    /// for the processed tuples only — a buffered or forwarded tuple
+    /// records its hop when it is finally processed.
+    fn process(&mut self, core: &mut OperatorCore, tuples: &[Tuple], shared: &WorkerShared) {
+        let arrive = match self.span_rec {
+            Some(_) if tuples.iter().any(|t| t.span_hop().is_some()) => {
+                Some(span_now_ns(&shared.clock))
+            }
+            _ => None,
+        };
+        self.sampled.clear();
+        core.emitted.clear();
+        let mut rest = tuples;
+        while !rest.is_empty() {
+            // Without a routed input field there is no per-key state:
+            // one dispatch covers the whole call.
+            let (key, len) = match core.state_field {
+                Some(f) => (Some(rest[0].key(f)), tuple_run_len(rest, f)),
+                None => (None, rest.len()),
+            };
+            let (run, tail) = rest.split_at(len);
+            rest = tail;
+            let n = len as u64;
+            if let Some(key) = key {
+                match self.wave.hold(key, run.iter().copied()) {
+                    Hold::Owned => {}
+                    Hold::Buffered { .. } => {
+                        shared.hot.buffered_tuples.add(n);
+                        continue;
+                    }
+                    Hold::Departed(owner) => {
+                        shared.hot.late_forwarded.add(n);
+                        let forward = Msg::Batch(run.to_vec());
+                        if shared.inboxes[owner.index()].send(forward).is_err() {
+                            shared.hot.forward_lost.add(n);
+                        }
+                        continue;
+                    }
+                }
+            }
+            core.dispatch(run, key);
+            self.processed += n;
+            if arrive.is_some() {
+                self.sampled.extend(run.iter().filter_map(|t| {
+                    t.span_hop()
+                        .map(|(sent, remote)| (sent, remote, t.span_origin_ns()))
+                }));
+            }
+        }
+        let mut out = std::mem::take(&mut core.emitted);
+        self.route_out_batch(shared, &mut out);
+        core.emitted = out;
+
+        // Queue wait is per sender stamp; processing time is an equal
+        // share of the call, which has no per-tuple boundary to time.
+        let (Some(rec), Some(arrive)) = (self.span_rec.as_mut(), arrive) else {
+            return;
+        };
+        if self.sampled.is_empty() {
+            return;
+        }
+        let done = span_now_ns(&shared.clock);
+        let per_tuple = done.saturating_sub(arrive) / tuples.len() as u64;
+        let epoch = shared.epoch.load(Ordering::Relaxed);
+        for &(sent, remote, origin) in &self.sampled {
+            rec.record_hop(
+                self.po_idx,
+                epoch,
+                remote,
+                arrive.saturating_sub(sent),
+                per_tuple,
+            );
+            if self.routes.is_empty() {
+                rec.record_end(self.po_idx, epoch, done.saturating_sub(origin));
+            }
+        }
     }
 }
 
@@ -734,84 +777,19 @@ impl LiveRuntime {
         observers: Vec<LiveObserver>,
     ) -> Self {
         assert!(servers > 0, "at least one server tag");
-        let n_pos = topology.operator_count();
-        let mut poi_base = Vec::with_capacity(n_pos);
-        let mut parallelism = Vec::with_capacity(n_pos);
-        let mut next = 0usize;
-        for po_idx in 0..n_pos {
-            poi_base.push(next);
-            let p = topology.po(PoId(po_idx)).parallelism();
-            parallelism.push(p);
-            next += p;
-        }
-        let n_instances = next;
+        let n_instances = topology.total_instances();
 
-        let mut inboxes = Vec::with_capacity(n_instances);
-        let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(n_instances);
-        for _ in 0..n_instances {
-            let (tx, rx) = bounded::<Msg>(INBOX_CAPACITY);
-            inboxes.push(tx);
-            receivers.push(Some(rx));
-        }
-        let mut server = Vec::with_capacity(n_instances);
-        for (po_idx, &p) in parallelism.iter().enumerate() {
-            for i in 0..p {
-                let tag = placement.server(PoId(po_idx), i).0;
-                assert!(tag < servers, "placement server out of range");
-                server.push(tag);
-            }
-        }
+        let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..n_instances)
+            .map(|_| bounded::<Msg>(INBOX_CAPACITY))
+            .unzip();
+        let server: Vec<usize> = placement.per_po.iter().flatten().map(|s| s.0).collect();
+        let in_range = server.iter().all(|&s| s < servers);
+        assert!(in_range, "placement server out of range");
         // Bounded: per wave attempt a worker sends at most one Ack and
         // one Applied, plus one lifetime Exited; with the default retry
         // budget this capacity is never reached, so workers never block
         // on coordinator notifications.
         let (coord_tx, coord_rx) = bounded(8 * n_instances + 16);
-
-        let mut outs: Vec<Vec<OutInfo>> = Vec::with_capacity(n_pos);
-        for po_idx in 0..n_pos {
-            outs.push(
-                topology
-                    .out_edges(PoId(po_idx))
-                    .iter()
-                    .map(|&eid| {
-                        let e = topology.edge(eid);
-                        let (field, router, los): (Option<usize>, Arc<dyn KeyRouter>, bool) =
-                            match e.grouping() {
-                                Grouping::Fields { field, router } => {
-                                    (Some(*field), Arc::clone(router), false)
-                                }
-                                Grouping::LocalOrShuffle => (None, Arc::new(HashRouter), true),
-                                Grouping::Shuffle => (None, Arc::new(HashRouter), false),
-                            };
-                        OutInfo {
-                            edge: eid.index(),
-                            dest_po: e.to().index(),
-                            field,
-                            local_or_shuffle: los,
-                            router,
-                        }
-                    })
-                    .collect(),
-            );
-        }
-        let state_fields: Vec<Option<usize>> = (0..n_pos)
-            .map(|po_idx| topology.state_field(PoId(po_idx)))
-            .collect();
-        let pred_instances: Vec<usize> = (0..n_pos)
-            .map(|po_idx| topology.predecessor_instances(PoId(po_idx)))
-            .collect();
-        let instances = |po: usize| poi_base[po]..poi_base[po] + parallelism[po];
-        let succ_instances: Vec<Vec<usize>> = (0..n_pos)
-            .map(|po_idx| {
-                let out = topology.out_edges(PoId(po_idx)).iter();
-                out.flat_map(|&e| instances(topology.edge(e).to().index()))
-                    .collect()
-            })
-            .collect();
-        let roots: Vec<usize> = (0..n_pos)
-            .filter(|&po| pred_instances[po] == 0)
-            .flat_map(instances)
-            .collect();
 
         let shared = Arc::new(WorkerShared {
             inboxes,
@@ -821,9 +799,8 @@ impl LiveRuntime {
                 .collect(),
             stop: AtomicBool::new(false),
             coord: coord_tx,
-            outs,
-            parallelism: parallelism.clone(),
-            poi_base: poi_base.clone(),
+            parallelism: topology.pos.iter().map(PoSpec::parallelism).collect(),
+            poi_base: topology.instance_bases(),
             fault: Mutex::new(None),
             batch_faults: AtomicBool::new(false),
             batch_size: config.batch_size,
@@ -837,43 +814,29 @@ impl LiveRuntime {
         let mut observer_slots: Vec<ObserverSlots> =
             (0..n_instances).map(|_| ObserverSlots::default()).collect();
         for (po, instance, edge, field, obs) in observers {
-            assert!(
-                instance < parallelism[po.index()],
-                "observer on a missing instance"
-            );
+            let instances = topology.instances(po);
+            assert!(instance < instances.len(), "observer on a missing instance");
             let out_edges = topology.out_edges(po).iter().copied();
-            observer_slots[poi_base[po.index()] + instance].add(out_edges, edge, field, obs);
+            observer_slots[instances.start + instance].add(out_edges, edge, field, obs);
         }
 
-        let Topology { pos, .. } = topology;
+        let mut receivers = receivers.into_iter();
         let mut handles = Vec::with_capacity(n_instances);
-        for (po_idx, po) in pos.into_iter().enumerate() {
-            let base = poi_base[po_idx];
+        for (po_idx, po) in topology.pos.iter().enumerate() {
+            let po_id = PoId(po_idx);
             for instance in 0..po.parallelism {
                 let shared = Arc::clone(&shared);
-                let rx = receivers[base + instance].take().expect("unique receiver");
-                let (preds, succs) = (pred_instances[po_idx], succ_instances[po_idx].clone());
-                let ctx = WorkerCtx::new(po_idx, instance, preds, succs, &shared);
+                let rx = receivers.next().expect("one inbox per instance");
+                let ctx = WorkerCtx::new(&topology, &placement, po_id, instance, &shared);
                 handles.push(match &po.kind {
                     PoKind::Source { factory, rate } => {
                         let (gen, rate) = (factory(instance), *rate);
                         std::thread::spawn(move || source_loop(ctx, gen, rate, shared, rx))
                     }
                     PoKind::Operator { factory, stateful } => {
-                        let core = OperatorCore {
-                            op: factory(instance),
-                            stateful: *stateful,
-                            state_field: state_fields[po_idx],
-                            state: HashMap::new(),
-                            observers: std::mem::take(&mut observer_slots[base + instance]),
-                            emitted: Vec::new(),
-                            processed: 0,
-                            span_rec: shared
-                                .sampler
-                                .map(|_| SpanRecorder::new(shared.span_metrics.clone())),
-                            is_sink: shared.outs[po_idx].is_empty(),
-                            sampled: Vec::new(),
-                        };
+                        let state_field = topology.state_field(po_id);
+                        let mut core = OperatorCore::new(factory(instance), *stateful, state_field);
+                        core.observers = std::mem::take(&mut observer_slots[ctx.my_idx]);
                         std::thread::spawn(move || operator_loop(ctx, core, shared, rx))
                     }
                 });
@@ -884,7 +847,7 @@ impl LiveRuntime {
             shared,
             handles,
             coord_rx,
-            roots,
+            roots: topology.root_instances(),
             n_instances,
             last_checkpoint: None,
             checkpoint_seq: 0,
@@ -1153,7 +1116,6 @@ fn source_loop(
     shared: Arc<WorkerShared>,
     rx: Receiver<Msg>,
 ) -> InstanceReport {
-    let mut emitted = 0u64;
     let mut stage: Vec<Tuple> = Vec::with_capacity(64);
     let mut down = false;
     let batch_sleep = match rate {
@@ -1191,12 +1153,12 @@ fn source_loop(
                 }
             }
         }
-        emitted += stage.len() as u64;
+        ctx.processed += stage.len() as u64;
         // Span origin: sampled tuples get their birth timestamp here,
         // once, before entering the data plane. Sampling is decided on
         // the field the (first) fields-grouped out edge routes on.
         if let Some(sampler) = &shared.sampler {
-            if let Some(field) = shared.outs[ctx.po_idx].iter().find_map(|o| o.field) {
+            if let Some(field) = ctx.routes.span_field() {
                 sampler.stamp_batch(&mut stage, field, span_now_ns(&shared.clock));
             }
         }
@@ -1217,152 +1179,7 @@ fn source_loop(
     while let Ok(msg) = rx.try_recv() {
         ctx.on_control(msg, &shared, None);
     }
-    ctx.exit(&shared, HashMap::new(), emitted)
-}
-
-/// An operator instance's data plane: its keyed state and the one
-/// routine every tuple goes through ([`process`](Self::process)).
-struct OperatorCore {
-    op: Box<dyn Operator>,
-    stateful: bool,
-    state_field: Option<usize>,
-    state: HashMap<Key, StateValue>,
-    observers: ObserverSlots,
-    /// Output of the current call, routed once at its end.
-    emitted: Vec<Tuple>,
-    processed: u64,
-    /// Span tracing: each worker owns a recorder (idempotent registry
-    /// registration shares the histograms across workers); `None` when
-    /// the sampler is off, so the hot path pays one never-taken branch.
-    span_rec: Option<SpanRecorder>,
-    is_sink: bool,
-    /// Scratch `(hop_send_ns, remote, origin_ns)` stamps of the sampled
-    /// tuples one call processed.
-    sampled: Vec<(u64, bool, u64)>,
-}
-
-impl OperatorCore {
-    /// The processing routine. Every tuple goes through it: a
-    /// `Msg::Data` as a one-tuple slice, a `Msg::Batch` whole, and the
-    /// buffered tuples released by `Migrate` or adopted at shutdown.
-    ///
-    /// Walks `tuples` in runs of equal state key. A run whose key
-    /// awaits migrated state is appended to its wave `pending` buffer;
-    /// a run whose key `departed` is forwarded to the new owner as one
-    /// `Msg::Batch` (straight to its inbox: no batch counters, no batch
-    /// fault gate); every other run is dispatched through
-    /// [`Operator::on_batch`] with one state lookup. The call's output
-    /// is routed once at the end. Span hops are recorded for the
-    /// processed tuples only — a buffered or forwarded tuple records
-    /// its hop when it is finally processed.
-    fn process(&mut self, tuples: &[Tuple], ctx: &mut WorkerCtx, shared: &WorkerShared) {
-        let arrive = match self.span_rec {
-            Some(_) if tuples.iter().any(|t| t.span_hop().is_some()) => {
-                Some(span_now_ns(&shared.clock))
-            }
-            _ => None,
-        };
-        self.sampled.clear();
-        self.emitted.clear();
-        let mut rest = tuples;
-        while !rest.is_empty() {
-            // Without a routed input field there is no per-key state:
-            // one dispatch covers the whole call.
-            let key = self.state_field.map(|f| rest[0].key(f));
-            let len = self.state_field.map_or(rest.len(), |f| tuple_run_len(rest, f));
-            let (run, tail) = rest.split_at(len);
-            rest = tail;
-            if let Some(key) = key {
-                if let Some(buf) = ctx.wave.pending.get_mut(&key) {
-                    buf.extend_from_slice(run);
-                    continue;
-                }
-                if let Some(&owner) = ctx.wave.departed.get(&key) {
-                    let _ = shared.inboxes[owner.index()].send(Msg::Batch(run.to_vec()));
-                    continue;
-                }
-            }
-            self.dispatch(run, key);
-            self.processed += len as u64;
-            if arrive.is_some() {
-                self.sampled.extend(run.iter().filter_map(|t| {
-                    t.span_hop()
-                        .map(|(sent, remote)| (sent, remote, t.span_origin_ns()))
-                }));
-            }
-        }
-        let mut out = std::mem::take(&mut self.emitted);
-        ctx.route_out_batch(shared, &mut out);
-        self.emitted = out;
-
-        // Queue wait is per sender stamp; processing time is an equal
-        // share of the call, which has no per-tuple boundary to time.
-        let (Some(rec), Some(arrive)) = (self.span_rec.as_mut(), arrive) else {
-            return;
-        };
-        if self.sampled.is_empty() {
-            return;
-        }
-        let done = span_now_ns(&shared.clock);
-        let per_tuple = done.saturating_sub(arrive) / tuples.len() as u64;
-        let epoch = shared.epoch.load(Ordering::Relaxed);
-        for &(sent, remote, origin) in &self.sampled {
-            rec.record_hop(
-                ctx.po_idx,
-                epoch,
-                remote,
-                arrive.saturating_sub(sent),
-                per_tuple,
-            );
-            if self.is_sink {
-                rec.record_end(ctx.po_idx, epoch, done.saturating_sub(origin));
-            }
-        }
-    }
-
-    /// Runs the operator on one run of tuples sharing state key `key`
-    /// (any tuples when there is no state field), appending its output
-    /// to `emitted` and feeding the pair observers coalesced runs.
-    fn dispatch(&mut self, run: &[Tuple], key: Option<Key>) {
-        let run_start = self.emitted.len();
-        {
-            let state_slot = if self.stateful {
-                let key = key.expect("stateful operators have a state field");
-                Some(self.state.entry(key).or_insert_with(|| self.op.init_state()))
-            } else {
-                None
-            };
-            let mut op_ctx = OpContext {
-                state: state_slot,
-                routing_key: key,
-                emitted: &mut self.emitted,
-            };
-            self.op.on_batch(run, &mut op_ctx);
-        }
-        let Some(key) = key else {
-            return;
-        };
-        // Derived output inherits the input's span origin, so a span
-        // follows the tuple's lineage across transforming operators.
-        // Sampling is per key, so the run head decides for the run.
-        if run[0].is_span_sampled() {
-            let origin = run[0].span_origin_ns();
-            for t in &mut self.emitted[run_start..] {
-                t.set_span_origin(origin);
-            }
-        }
-        for (obs_field, obs) in self.observers.iter_mut() {
-            // Emitted tuples within a run may still vary in the observed
-            // field; coalesce the emitted runs too so each costs one
-            // observe.
-            let mut out_rest = &self.emitted[run_start..];
-            while !out_rest.is_empty() {
-                let out_len = tuple_run_len(out_rest, obs_field);
-                obs.observe_run(key, out_rest[0].key(obs_field), out_len as u64);
-                out_rest = &out_rest[out_len..];
-            }
-        }
-    }
+    ctx.exit(&shared, HashMap::new())
 }
 
 fn operator_loop(
@@ -1402,14 +1219,14 @@ fn operator_loop(
             }
         };
         match msg {
-            Msg::Data(tuple) => core.process(std::slice::from_ref(&tuple), &mut ctx, &shared),
-            Msg::Batch(tuples) => core.process(&tuples, &mut ctx, &shared),
+            Msg::Data(tuple) => ctx.process(&mut core, std::slice::from_ref(&tuple), &shared),
+            Msg::Batch(tuples) => ctx.process(&mut core, &tuples, &shared),
             Msg::Migrate { key, state: moved } => {
                 if let Some(moved) = moved {
                     core.state.insert(key, moved);
                 }
-                if let Some(buffered) = ctx.wave.pending.remove(&key) {
-                    core.process(&buffered, &mut ctx, &shared);
+                if let Some(mut buffered) = ctx.wave.pending.remove(&key) {
+                    ctx.process(&mut core, buffered.make_contiguous(), &shared);
                 }
             }
             Msg::Eos => eos_seen += 1,
@@ -1438,7 +1255,7 @@ fn operator_loop(
         // Every predecessor finished: exit, or drain while keys still
         // await their migrated state.
         if eos_seen >= ctx.wave.preds {
-            if ctx.wave.pending.values().all(Vec::is_empty) {
+            if ctx.wave.pending.values().all(VecDeque::is_empty) {
                 break;
             }
             draining = true;
@@ -1456,18 +1273,29 @@ fn operator_loop(
         .collect();
     orphans.sort_unstable();
     for key in orphans {
-        let buffered = ctx.wave.pending.remove(&key).unwrap_or_default();
-        core.process(&buffered, &mut ctx, &shared);
+        let mut buffered = ctx.wave.pending.remove(&key).unwrap_or_default();
+        ctx.process(&mut core, buffered.make_contiguous(), &shared);
     }
-    ctx.exit(&shared, core.state, core.processed)
+    let report = ctx.exit(&shared, core.state);
+    // Queued data can only be late forwards (predecessor data precedes
+    // `Eos`): count them lost, then close the inbox so later ones fail
+    // at their sender. One landing right before the drop goes uncounted.
+    let queued = std::iter::from_fn(|| rx.try_recv().ok()).map(|msg| match msg {
+        Msg::Data(_) => 1,
+        Msg::Batch(tuples) => tuples.len() as u64,
+        _ => 0,
+    });
+    shared.hot.forward_lost.add(queued.sum());
+    drop(rx);
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::operator::{CountOperator, IdentityOperator};
-    use crate::router::ModuloRouter;
-    use crate::topology::Topology;
+    use crate::router::{HashRouter, ModuloRouter};
+    use crate::topology::{Grouping, Topology};
 
     /// n sources emitting `total/n` tuples each of (c % keys, c % keys).
     fn chain(n: usize, keys: u64, total: u64) -> Topology {
@@ -2088,6 +1916,133 @@ mod tests {
             assert!(sr > 0, "round-robin shuffle must spread across servers");
             assert_eq!(totals(local), (total, 0), "local-or-shuffle must stay local");
         }
+    }
+
+    /// The cross-runtime agreement test. One finite topology runs to
+    /// completion in both runtimes, three instances on two servers:
+    /// S ─fields(0)→ A (count), S ─shuffle→ I (identity) ─fields(1)→ C
+    /// (count), I ─local-or-shuffle→ D (identity). Both route, dispatch
+    /// and hold through the same data plane, so per-instance state,
+    /// per-instance processed counts and per-edge local/remote totals
+    /// must be equal.
+    #[test]
+    fn sim_and_live_agree_on_a_finite_fan_out() {
+        use crate::cluster::ClusterSpec;
+        use crate::sim::{SimConfig, Simulation};
+
+        let (n, servers) = (3, 2);
+        let streams = pair_streams(n, 20, 24_000);
+        let build = || {
+            let mut b = Topology::builder();
+            let s = replay_source(&mut b, &streams);
+            let a = b.stateful("A", n, CountOperator::factory());
+            let i = b.stateless("I", n, IdentityOperator::factory());
+            let c = b.stateful("C", n, CountOperator::factory());
+            let d = b.stateless("D", n, IdentityOperator::factory());
+            b.connect(s, a, Grouping::fields(0));
+            b.connect(s, i, Grouping::Shuffle);
+            b.connect(i, c, Grouping::fields(1));
+            b.connect(i, d, Grouping::LocalOrShuffle);
+            let topo = b.build().unwrap();
+            let placement = Placement::aligned(&topo, servers);
+            (topo, placement)
+        };
+        let sorted = |state: &HashMap<Key, StateValue>| {
+            let mut kv: Vec<(Key, u64)> = state
+                .iter()
+                .map(|(&k, v)| (k, v.as_count().unwrap()))
+                .collect();
+            kv.sort_unstable();
+            kv
+        };
+
+        let (topo, placement) = build();
+        let cluster = ClusterSpec::lan_10g(servers);
+        let mut sim = Simulation::new(topo, cluster, placement, SimConfig::default());
+        assert!(sim.run_until_drained(10_000) < 10_000, "simulator never drained");
+        let windows = sim.metrics().windows();
+        let operators = n..5 * n;
+        let sim_states: Vec<_> = (0..5 * n).map(|i| sorted(sim.poi_state(PoiId(i)))).collect();
+        let sim_processed: Vec<u64> = operators
+            .clone()
+            .map(|i| windows.iter().map(|w| w.poi_processed[i]).sum())
+            .collect();
+        let sim_edges: Vec<(u64, u64)> = (0..4)
+            .map(|e| {
+                let edge = windows.iter().map(|w| &w.edges[e]);
+                edge.fold((0, 0), |(l, r), s| (l + s.local, r + s.remote))
+            })
+            .collect();
+
+        let (topo, placement) = build();
+        let rt = LiveRuntime::start(topo, placement, servers, LiveConfig::default());
+        let shared = Arc::clone(&rt.shared);
+        let reports = rt.join();
+        let live_states: Vec<_> = reports.iter().map(|r| sorted(&r.state)).collect();
+        let live_processed: Vec<u64> = reports[operators].iter().map(|r| r.processed).collect();
+        let live_edges: Vec<(u64, u64)> = shared
+            .edges
+            .iter()
+            .map(|e| (e.local.load(Ordering::Relaxed), e.remote.load(Ordering::Relaxed)))
+            .collect();
+
+        assert_eq!(live_states, sim_states, "per-instance keyed state");
+        assert_eq!(live_processed, sim_processed, "per-instance processed");
+        assert_eq!(live_edges, sim_edges, "per-edge (local, remote) totals");
+        assert!(sim_edges.iter().all(|&(l, r)| l + r == 24_000));
+    }
+
+    /// A plan whose migrations disagree with its router updates: A's
+    /// keys move to modulo owners while S keeps routing by hash, so old
+    /// owners forward every later tuple of a moved key. A forward that
+    /// reaches a new owner after it exited is lost (the known forward
+    /// race). Whether or not that happens in a run, every tuple routed
+    /// into A is processed by an A instance or counted lost.
+    #[test]
+    fn tuples_into_a_are_processed_or_counted_lost() {
+        let (n, keys, total) = (3, 9, 30_000u64);
+        let mut b = Topology::builder();
+        let s = b.source("S", n, SourceRate::PerSecond(50_000.0), move |i| {
+            let mut c = i as u64;
+            let mut left = total / n as u64;
+            Box::new(move || {
+                left = left.checked_sub(1)?;
+                c = c.wrapping_add(0x9e37_79b9);
+                Some(Tuple::new([Key::new(c % keys)], 0))
+            })
+        });
+        let a = b.stateful("A", n, CountOperator::factory());
+        b.connect(s, a, Grouping::fields(0));
+        let topo = b.build().unwrap();
+        let placement = Placement::aligned(&topo, n);
+        let registry = Arc::new(MetricsRegistry::new());
+        let config = LiveConfig {
+            metrics: Some(Arc::clone(&registry)),
+            ..LiveConfig::default()
+        };
+        let rt = LiveRuntime::start(topo, placement, n, config);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let migrations = (0..keys)
+            .filter_map(|k| {
+                let key = Key::new(k);
+                let (old, new) = (HashRouter.route(key, n) as usize, (k % n as u64) as usize);
+                (old != new).then_some((a, key, old, new))
+            })
+            .collect();
+        rt.reconfigure(LiveReconfig {
+            routers: Vec::new(),
+            migrations,
+        });
+        let reports = rt.join();
+        let sum = |po: PoId| -> u64 { reports.iter().filter(|r| r.po == po).map(|r| r.processed).sum() };
+        let snap = registry.snapshot();
+        let get = |name: &str| snap.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap();
+        let (forwarded, lost) = (get("live_late_forwarded_total"), get("live_forward_lost_tuples_total"));
+        let _ = get("live_buffered_tuples_total");
+        assert_eq!(sum(s), total);
+        assert!(forwarded > 0, "stale routers must force forwards");
+        assert!(lost <= forwarded);
+        assert_eq!(sum(a) + lost, total, "processed + lost forwards");
     }
 
     #[test]

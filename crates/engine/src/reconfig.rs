@@ -221,11 +221,8 @@ impl Simulation {
         if self.reconfig.is_some() || self.manager_down {
             return Err(ReconfigInProgress);
         }
-        let roots = (0..self.pois.len())
-            .filter(|&i| self.topo.in_edges[self.pois[i].po.index()].is_empty())
-            .collect();
-        let staged = plan.split(&self.poi_base, self.pois.len());
-        let mut coord = WaveCoordinator::new(staged, roots, wave);
+        let staged = plan.split(&self.topo.instance_bases(), self.pois.len());
+        let mut coord = WaveCoordinator::new(staged, self.topo.root_instances(), wave);
         coord.start(self.window_index);
         let pre_wave_routers = self.snapshot_routers();
         let wave_id = self.wave_seq;
@@ -353,15 +350,12 @@ impl Simulation {
                     }
                     // ⑥: ship the state of reassigned keys.
                     for (key, dest) in applied.send {
-                        let state = self.pois[poi].state.remove(&key);
+                        let state = self.pois[poi].core.state.remove(&key);
                         self.send_migration_attempt(poi, dest.index(), key, state, 0, wm);
                     }
-                    let po = self.pois[poi].po.index();
-                    for e in self.topo.out_edges[po].clone() {
-                        for succ in self.poi_ids(self.topo.edges[e.index()].to) {
-                            let forward = WaveSend::Propagate(succ.index());
-                            self.control_queue.push((now + 1, forward));
-                        }
+                    for &succ in &self.successors[self.pois[poi].po.index()] {
+                        let forward = WaveSend::Propagate(succ);
+                        self.control_queue.push((now + 1, forward));
                     }
                     let Some(exec) = self.reconfig.as_mut() else {
                         continue;
@@ -552,15 +546,15 @@ impl Simulation {
             {
                 Some(&(from, _, _)) => {
                     if let Some(state) = state {
-                        self.pois[from.index()].state.insert(key, state);
+                        self.pois[from.index()].core.state.insert(key, state);
                     }
                 }
                 None => self.apply_migration(to_poi, key, state),
             }
         }
         for &(from, key, to) in &exec.plan.migrations {
-            if let Some(state) = self.pois[to.index()].state.remove(&key) {
-                self.pois[from.index()].state.insert(key, state);
+            if let Some(state) = self.pois[to.index()].core.state.remove(&key) {
+                self.pois[from.index()].core.state.insert(key, state);
             }
         }
         // 5. Clear the per-POI wave runtime and release buffered
@@ -616,22 +610,22 @@ impl Simulation {
             if self.topo.state_field(dest_po).is_none() {
                 continue;
             }
-            let parallelism = self.topo.pos[dest_po.index()].parallelism;
-            let base = self.poi_base[dest_po.index()];
-            for i in 0..parallelism {
-                let mut keys: Vec<Key> = self.pois[base + i].state.keys().copied().collect();
+            let instances = self.topo.instances(dest_po);
+            let (base, parallelism) = (instances.start, instances.len());
+            for (i, from) in instances.enumerate() {
+                let mut keys: Vec<Key> = self.pois[from].core.state.keys().copied().collect();
                 keys.sort_unstable();
                 for key in keys {
                     let owner = HashRouter.route(key, parallelism) as usize;
                     if owner != i {
-                        moves.push((base + i, base + owner, key));
+                        moves.push((from, base + owner, key));
                     }
                 }
             }
         }
         for (from, to, key) in moves {
-            if let Some(state) = self.pois[from].state.remove(&key) {
-                self.pois[to].state.insert(key, state);
+            if let Some(state) = self.pois[from].core.state.remove(&key) {
+                self.pois[to].core.state.insert(key, state);
                 wm.migrated_states += 1;
             }
             // Release any tuples buffered for the key at either end.
@@ -658,7 +652,7 @@ impl Simulation {
         );
         let poi = &mut self.pois[to_idx];
         if let Some(state) = state {
-            poi.state.insert(key, state);
+            poi.core.state.insert(key, state);
         }
         for t in poi.wave.pending.remove(&key).into_iter().flatten().rev() {
             poi.input.push_front(t);
@@ -679,7 +673,7 @@ impl Simulation {
             self.pois[to.index()].po,
             "state migrates between instances of one operator"
         );
-        let state = self.pois[from.index()].state.remove(&key);
+        let state = self.pois[from.index()].core.state.remove(&key);
         self.apply_migration(to.index(), key, state);
     }
 
@@ -692,18 +686,10 @@ impl Simulation {
     /// Panics if `poi` has no fields-grouped out edge `edge`.
     #[must_use]
     pub fn current_route(&self, poi: PoiId, edge: EdgeId, key: Key) -> u32 {
-        let out = self.pois[poi.index()]
-            .out
-            .iter()
-            .find(|o| o.edge == edge)
-            .expect("poi has no such out edge");
-        match &out.kind {
-            crate::sim::OutKind::Fields { router, .. } => {
-                let parallelism = self.topo.pos[out.dest_po.index()].parallelism;
-                router.route(key, parallelism)
-            }
-            _ => panic!("edge is not fields-grouped"),
-        }
+        let parallelism = self.topo.pos[self.topo.edges[edge.index()].to.index()].parallelism;
+        let mut routers = self.pois[poi.index()].routes.routers();
+        let (_, router) = routers.find(|r| r.0 == edge).expect("no such fields edge");
+        router.route(key, parallelism)
     }
 
     /// Builds the `(old owner, key, new owner)` migration list implied

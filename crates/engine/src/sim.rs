@@ -2,12 +2,14 @@
 //!
 //! Time advances in fixed windows (default 100 ms of simulated time).
 //! Within a window each operator instance (POI) has a CPU budget of
-//! one window-second, each server NIC an ingress and an egress byte
-//! budget, and tuples are routed *individually* through the same
-//! grouping code a real deployment would run — so locality statistics,
-//! pair observation and routing-table behaviour are exact, while
-//! throughput emerges from the CPU/NIC budget contention. See
-//! DESIGN.md §5 for the substitution rationale.
+//! one window-second and each server NIC an ingress and an egress byte
+//! budget. Tuples go *individually* through the data plane the live
+//! runtime runs (`instance.rs`: routing, dispatch and the wave's hold
+//! rule, on one-tuple slices) — so locality statistics, pair
+//! observation and routing-table behaviour are exact, while throughput
+//! emerges from the CPU/NIC budget contention. This module keeps only
+//! the budgets, costs, windows and accounting. See DESIGN.md §5 for the
+//! substitution rationale.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -15,55 +17,19 @@ use std::sync::Arc;
 use crate::checkpoint::ClusterCheckpoint;
 use crate::cluster::ClusterSpec;
 use crate::fault::{FaultInjector, FaultPlan};
+use crate::instance::{OperatorCore, OutRoutes, PairObserver};
 use crate::key::Key;
 use crate::metrics::{MetricsLog, WindowMetrics};
 use crate::obs::{
     log2_bounds, Counter, EventTracer, Gauge, Histogram, MetricsRegistry, SpanRecorder,
     SpanSampler, TraceEvent, TraceEventKind,
 };
-use crate::operator::{OpContext, Operator, StateValue};
+use crate::operator::{IdentityOperator, Operator, StateValue};
 use crate::reconfig::ReconfigExec;
-use crate::router::KeyRouter;
-use crate::topology::{
-    EdgeId, Grouping, PoId, PoKind, PoiId, ServerId, SourceRate, Topology, TupleSource,
-};
+use crate::router::{DestRun, KeyRouter};
+use crate::topology::{EdgeId, PoId, PoKind, PoiId, ServerId, SourceRate, Topology, TupleSource};
 use crate::tuple::Tuple;
-use crate::wave::{WaveParticipant, WaveSend};
-
-/// Observes the `(input key, output key)` pairs flowing through a
-/// stateful instance — the instrumentation hook of paper §3.2.
-///
-/// The locality-aware routing crate installs a SpaceSaving-backed
-/// implementation on every stateful POI; the engine invokes it for
-/// each processed tuple that leaves through a fields-grouped edge.
-pub trait PairObserver: Send {
-    /// Records one co-occurrence of `input` (the key the tuple arrived
-    /// on) and `output` (the key it departs on).
-    fn observe(&mut self, input: Key, output: Key);
-
-    /// Records `count` co-occurrences of the same `(input, output)`
-    /// pair at once — the columnar data plane coalesces runs of equal
-    /// keys before observing them.
-    ///
-    /// Must be equivalent to calling [`observe`](PairObserver::observe)
-    /// `count` times; the default does exactly that. Sketch-backed
-    /// observers override it with one weighted offer (one lock
-    /// acquisition per run instead of per tuple).
-    fn observe_run(&mut self, input: Key, output: Key, count: u64) {
-        for _ in 0..count {
-            self.observe(input, output);
-        }
-    }
-}
-
-impl<F> PairObserver for F
-where
-    F: FnMut(Key, Key) + Send,
-{
-    fn observe(&mut self, input: Key, output: Key) {
-        self(input, output);
-    }
-}
+use crate::wave::{Hold, WaveParticipant, WaveSend};
 
 /// Simulator tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,7 +61,7 @@ impl Default for SimConfig {
 /// (§4.1), which [`Placement::aligned`] reproduces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
-    per_po: Vec<Vec<ServerId>>,
+    pub(crate) per_po: Vec<Vec<ServerId>>,
 }
 
 impl Placement {
@@ -146,48 +112,6 @@ impl Placement {
     }
 }
 
-/// One instance's pair observers, resolved once per out edge: slot `i`
-/// holds the `(observed tuple field, observer)` entries of the
-/// instance's `i`-th out edge, so feeding them walks a `Vec` instead of
-/// looking each edge up. An edge can carry several observers (a
-/// stateless fan-out behind it may lead to several stateful
-/// successors). Both runtimes use it.
-#[derive(Default)]
-pub(crate) struct ObserverSlots(Vec<Vec<(usize, Box<dyn PairObserver>)>>);
-
-impl ObserverSlots {
-    /// Adds `observer` of tuple field `field` on out edge `edge`, given
-    /// the instance's out edges in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` is not one of `out_edges`.
-    pub(crate) fn add(
-        &mut self,
-        mut out_edges: impl ExactSizeIterator<Item = EdgeId>,
-        edge: EdgeId,
-        field: usize,
-        observer: Box<dyn PairObserver>,
-    ) {
-        let outs = out_edges.len();
-        let slot = out_edges
-            .position(|e| e == edge)
-            .expect("instance has no such out edge");
-        if self.0.is_empty() {
-            self.0.resize_with(outs, Vec::new);
-        }
-        self.0[slot].push((field, observer));
-    }
-
-    /// Every observer with its observed field, in out-edge order.
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut Box<dyn PairObserver>)> {
-        self.0
-            .iter_mut()
-            .flatten()
-            .map(|(field, observer)| (*field, observer))
-    }
-}
-
 /// A tuple waiting in an input queue, with its arrival mode.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InTuple {
@@ -208,31 +132,7 @@ pub(crate) enum PoiKindRt {
         exhausted: bool,
         credit: f64,
     },
-    Operator {
-        op: Box<dyn Operator>,
-        stateful: bool,
-        state_field: Option<usize>,
-    },
-}
-
-pub(crate) enum OutKind {
-    Shuffle {
-        next: usize,
-    },
-    LocalOrShuffle {
-        local: Vec<usize>,
-        next: usize,
-    },
-    Fields {
-        field: usize,
-        router: Arc<dyn KeyRouter>,
-    },
-}
-
-pub(crate) struct OutRt {
-    pub(crate) edge: EdgeId,
-    pub(crate) dest_po: PoId,
-    pub(crate) kind: OutKind,
+    Operator,
 }
 
 pub(crate) struct PoiRt {
@@ -240,12 +140,13 @@ pub(crate) struct PoiRt {
     pub(crate) instance: usize,
     pub(crate) server: ServerId,
     pub(crate) kind: PoiKindRt,
+    /// The operator, its keyed state and its observers. A source's core
+    /// is never dispatched: it holds no state and feeds no observer.
+    pub(crate) core: OperatorCore,
     pub(crate) cost_per_tuple: f64,
     pub(crate) input: VecDeque<InTuple>,
-    pub(crate) state: HashMap<Key, StateValue>,
-    pub(crate) out: Vec<OutRt>,
-    /// Per out-edge instrumentation (§3.2).
-    pub(crate) observers: ObserverSlots,
+    /// Where this POI's output goes.
+    pub(crate) routes: OutRoutes,
     /// This POI's side of the reconfiguration wave (see reconfig.rs).
     pub(crate) wave: WaveParticipant<VecDeque<InTuple>>,
 }
@@ -330,7 +231,8 @@ pub struct Simulation {
     pub(crate) cluster: ClusterSpec,
     pub(crate) config: SimConfig,
     pub(crate) pois: Vec<PoiRt>,
-    pub(crate) poi_base: Vec<usize>,
+    /// Per operator, the instances each of its instances forwards ⑤ to.
+    pub(crate) successors: Vec<Vec<usize>>,
     pub(crate) servers: Vec<ServerRt>,
     pub(crate) racks: Vec<RackRt>,
     pub(crate) window_index: u64,
@@ -363,6 +265,8 @@ pub struct Simulation {
     /// Id of the most recently started wave, kept after completion so
     /// late migrations and buffering events stay attributable.
     pub(crate) last_wave: Option<u64>,
+    /// Scratch destination runs of one routed tuple.
+    route_runs: Vec<DestRun>,
 }
 
 /// The simulator's registry-backed instruments. Fed from per-window
@@ -480,71 +384,37 @@ impl Simulation {
             topology.pos.len(),
             "placement does not match topology"
         );
-        let mut poi_base = Vec::with_capacity(topology.pos.len());
-        let mut next = 0usize;
-        for po in &topology.pos {
-            poi_base.push(next);
-            next += po.parallelism;
-        }
-        let mut pois = Vec::with_capacity(next);
+        let mut pois = Vec::with_capacity(topology.total_instances());
         for (po_idx, po) in topology.pos.iter().enumerate() {
             let po_id = PoId(po_idx);
             for instance in 0..po.parallelism {
                 let server = placement.server(po_id, instance);
                 assert!(server.0 < cluster.servers, "placement server out of range");
-                let kind = match &po.kind {
-                    PoKind::Source { factory, rate } => PoiKindRt::Source {
-                        gen: factory(instance),
-                        rate: *rate,
-                        exhausted: false,
-                        credit: 0.0,
-                    },
-                    PoKind::Operator { factory, stateful } => PoiKindRt::Operator {
-                        op: factory(instance),
-                        stateful: *stateful,
-                        state_field: topology.state_field(po_id),
-                    },
-                };
-                let out = topology.out_edges[po_idx]
-                    .iter()
-                    .map(|&edge_id| {
-                        let edge = &topology.edges[edge_id.index()];
-                        let dest_po = edge.to;
-                        let kind = match &edge.grouping {
-                            Grouping::Shuffle => OutKind::Shuffle { next: instance },
-                            Grouping::LocalOrShuffle => {
-                                let local = (0..topology.pos[dest_po.index()].parallelism)
-                                    .filter(|&i| placement.server(dest_po, i) == server)
-                                    .collect();
-                                OutKind::LocalOrShuffle {
-                                    local,
-                                    next: instance,
-                                }
-                            }
-                            Grouping::Fields { field, router } => OutKind::Fields {
-                                field: *field,
-                                router: Arc::clone(router),
-                            },
+                let (kind, op, stateful): (_, Box<dyn Operator>, _) = match &po.kind {
+                    PoKind::Source { factory, rate } => {
+                        let source = PoiKindRt::Source {
+                            gen: factory(instance),
+                            rate: *rate,
+                            exhausted: false,
+                            credit: 0.0,
                         };
-                        OutRt {
-                            edge: edge_id,
-                            dest_po,
-                            kind,
-                        }
-                    })
-                    .collect();
+                        (source, Box::new(IdentityOperator), false)
+                    }
+                    PoKind::Operator { factory, stateful } => {
+                        (PoiKindRt::Operator, factory(instance), *stateful)
+                    }
+                };
                 pois.push(PoiRt {
                     po: po_id,
                     instance,
                     server,
                     kind,
+                    core: OperatorCore::new(op, stateful, topology.state_field(po_id)),
                     cost_per_tuple: po
                         .cost_per_tuple
                         .unwrap_or(cluster.default_cost_per_tuple),
                     input: VecDeque::new(),
-                    state: HashMap::new(),
-                    out,
-                    observers: ObserverSlots::default(),
+                    routes: OutRoutes::new(&topology, &placement, po_id, instance),
                     wave: WaveParticipant::new(topology.predecessor_instances(po_id)),
                 });
             }
@@ -563,11 +433,12 @@ impl Simulation {
         let window = config.window;
         let n_servers = cluster.servers;
         Self {
-            topo: topology,
             cluster,
             config,
             pois,
-            poi_base,
+            successors: (0..topology.pos.len())
+                .map(|po| topology.successor_instances(PoId(po)))
+                .collect(),
             servers,
             racks,
             window_index: 0,
@@ -588,6 +459,8 @@ impl Simulation {
             span_rec: None,
             wave_seq: 0,
             last_wave: None,
+            route_runs: Vec::new(),
+            topo: topology,
         }
     }
 
@@ -693,10 +566,7 @@ impl Simulation {
     /// Global instance ids of operator `po`, in instance order.
     #[must_use]
     pub fn poi_ids(&self, po: PoId) -> Vec<PoiId> {
-        let base = self.poi_base[po.index()];
-        (0..self.topo.pos[po.index()].parallelism)
-            .map(|i| PoiId(base + i))
-            .collect()
+        self.topo.instances(po).map(PoiId).collect()
     }
 
     /// Server hosting `poi`.
@@ -736,7 +606,7 @@ impl Simulation {
     /// Panics if `poi` is out of range.
     #[must_use]
     pub fn poi_state(&self, poi: PoiId) -> &HashMap<Key, StateValue> {
-        &self.pois[poi.index()].state
+        &self.pois[poi.index()].core.state
     }
 
     /// Adds a pair-statistics observer on `poi` for its outgoing
@@ -762,8 +632,9 @@ impl Simulation {
         observer: Box<dyn PairObserver>,
     ) {
         let poi = &mut self.pois[poi.index()];
-        let out_edges = poi.out.iter().map(|o| o.edge);
-        poi.observers.add(out_edges, edge, observed_field, observer);
+        let out_edges = self.topo.out_edges[poi.po.index()].iter().copied();
+        let observers = &mut poi.core.observers;
+        observers.add(out_edges, edge, observed_field, observer);
     }
 
     /// Replaces the router `poi` uses on out-edge `edge`, immediately
@@ -774,15 +645,8 @@ impl Simulation {
     ///
     /// Panics if `poi` does not have an outgoing fields edge `edge`.
     pub fn set_poi_router(&mut self, poi: PoiId, edge: EdgeId, router: Arc<dyn KeyRouter>) {
-        let out = self.pois[poi.index()]
-            .out
-            .iter_mut()
-            .find(|o| o.edge == edge)
-            .expect("poi has no such out edge");
-        match &mut out.kind {
-            OutKind::Fields { router: slot, .. } => *slot = router,
-            _ => panic!("edge is not fields-grouped"),
-        }
+        let swapped = self.pois[poi.index()].routes.set_router(edge, router);
+        assert!(swapped, "poi has no fields out edge {edge:?}");
         self.trace(
             self.wave_hint(),
             TraceEventKind::RouterSwapped {
@@ -946,7 +810,7 @@ impl Simulation {
         let buffered: usize = poi.wave.reset().values().map(VecDeque::len).sum();
         let dropped = (poi.input.len() + buffered) as i64;
         poi.input.clear();
-        poi.state.clear();
+        poi.core.state.clear();
         // A restarted generator would replay its stream from the
         // beginning; keep it down instead.
         if let PoiKindRt::Source { exhausted, .. } = &mut poi.kind {
@@ -965,9 +829,7 @@ impl Simulation {
             }
             _ => return,
         };
-        let po = self.pois[idx].po;
-        let base = self.poi_base[po.index()];
-        let siblings = base..base + self.topo.pos[po.index()].parallelism;
+        let siblings = self.topo.instances(self.pois[idx].po);
         let lost = self.lost_migrations.iter().map(|m| (m.to, m.key));
         let wire = self.servers.iter().flat_map(|s| &s.backlog);
         let in_transit: HashSet<Key> = wire
@@ -981,9 +843,9 @@ impl Simulation {
         for (key, state) in restored_state {
             let held_elsewhere = siblings
                 .clone()
-                .any(|j| j != idx && self.pois[j].state.contains_key(&key));
+                .any(|j| j != idx && self.pois[j].core.state.contains_key(&key));
             if !held_elsewhere && !in_transit.contains(&key) {
-                self.pois[idx].state.insert(key, state);
+                self.pois[idx].core.state.insert(key, state);
             }
         }
         for (edge, router) in restored_routers {
@@ -1123,10 +985,8 @@ impl Simulation {
             if self.topo.pos[po.index()].is_source() {
                 continue;
             }
-            let base = self.poi_base[po.index()];
-            let parallelism = self.topo.pos[po.index()].parallelism;
-            for instance in 0..parallelism {
-                self.run_operator(base + instance, window, &mut wm);
+            for idx in self.topo.instances(po) {
+                self.run_operator(idx, window, &mut wm);
             }
         }
 
@@ -1237,11 +1097,7 @@ impl Simulation {
                     // spans follow exactly the keys whose routing the
                     // manager controls.
                     if let Some(sampler) = self.span_sampler {
-                        let field = self.pois[idx].out.iter().find_map(|o| match &o.kind {
-                            OutKind::Fields { field, .. } => Some(*field),
-                            _ => None,
-                        });
-                        if let Some(field) = field {
+                        if let Some(field) = self.pois[idx].routes.span_field() {
                             if tuple.field_count() > field && sampler.sampled(tuple.key(field))
                             {
                                 tuple.set_span_origin(self.window_ns(born));
@@ -1264,65 +1120,48 @@ impl Simulation {
         }
     }
 
+    /// Processes `idx`'s input queue within its CPU budget, one tuple at
+    /// a time through the shared data plane: the hold rule, then one
+    /// dispatch and one routing of its output, edge by edge.
     fn run_operator(&mut self, idx: usize, window: f64, wm: &mut WindowMetrics) {
         let mut budget = window;
-        let mut emitted = Vec::with_capacity(4);
+        let mut emitted = Vec::new();
         while budget > 0.0 {
             let Some(in_tuple) = self.pois[idx].input.pop_front() else {
                 break;
             };
-            // Identify the state key for pending/departed handling.
-            let state_key = match &self.pois[idx].kind {
-                PoiKindRt::Operator {
-                    state_field: Some(f),
-                    ..
-                } => Some(in_tuple.tuple.key(*f)),
-                _ => None,
-            };
+            let poi = &mut self.pois[idx];
+            let state_key = poi.core.state_field.map(|f| in_tuple.tuple.key(f));
             if let Some(key) = state_key {
-                // Awaiting migrated state: buffer (paper §3.4). The
-                // empty → non-empty transition is traced as one stall
-                // per key (not per tuple).
-                let stalled = match self.pois[idx].wave.pending.get_mut(&key) {
-                    Some(buf) => {
-                        let first = buf.is_empty();
-                        buf.push_back(in_tuple);
-                        Some(first)
-                    }
-                    None => None,
-                };
-                if let Some(first) = stalled {
-                    wm.buffered += 1;
-                    if first {
-                        self.trace(
-                            self.wave_hint(),
-                            TraceEventKind::BufferStall {
+                match poi.wave.hold(key, [in_tuple]) {
+                    Hold::Owned => {}
+                    // Awaiting migrated state (paper §3.4). The first
+                    // buffered tuple is traced as one stall per key.
+                    Hold::Buffered { first } => {
+                        wm.buffered += 1;
+                        if first {
+                            let stall = TraceEventKind::BufferStall {
                                 poi: idx,
                                 key: key.value(),
-                            },
-                        );
+                            };
+                            self.trace(self.wave_hint(), stall);
+                        }
+                        continue;
                     }
-                    continue;
-                }
-                // State departed to a new owner: forward the straggler.
-                if let Some(&new_owner) = self.pois[idx].wave.departed.get(&key) {
-                    wm.late_forwarded += 1;
-                    let from_server = self.pois[idx].server;
-                    // Charged like any remote handoff.
-                    budget -= self.cluster.remote_send_cpu;
-                    let edge = self.topo.in_edges[self.pois[idx].po.index()]
-                        .first()
-                        .copied()
-                        .expect("stateful operator has an input edge");
-                    self.deliver_data(
-                        from_server,
-                        new_owner.index(),
-                        in_tuple.tuple,
-                        edge,
-                        in_tuple.born,
-                        wm,
-                    );
-                    continue;
+                    // State departed to a new owner: forward the
+                    // straggler, charged like any remote handoff.
+                    Hold::Departed(new_owner) => {
+                        wm.late_forwarded += 1;
+                        budget -= self.cluster.remote_send_cpu;
+                        let from_server = self.pois[idx].server;
+                        let edge = self.topo.in_edges[self.pois[idx].po.index()]
+                            .first()
+                            .copied()
+                            .expect("stateful operator has an input edge");
+                        let (tuple, born) = (in_tuple.tuple, in_tuple.born);
+                        self.deliver_data(from_server, new_owner.index(), tuple, edge, born, wm);
+                        continue;
+                    }
                 }
             }
 
@@ -1338,13 +1177,13 @@ impl Simulation {
             // Span hop: queue wait from the enqueue window, processing
             // time from the CPU charge, into the same log2 histograms
             // (and metric names) the live runtime uses.
+            let is_sink = self.pois[idx].routes.is_empty();
             if self.span_rec.is_some() && in_tuple.tuple.is_span_sampled() {
                 let queue_ns =
                     self.window_ns(self.window_index - in_tuple.enqueued);
                 let proc_ns = (cost * 1e9) as u64;
                 let epoch = self.span_epoch();
                 let po = self.pois[idx].po.index();
-                let is_sink = self.pois[idx].out.is_empty();
                 let total_ns = self
                     .window_ns(self.window_index)
                     .saturating_sub(in_tuple.tuple.span_origin_ns());
@@ -1378,58 +1217,16 @@ impl Simulation {
                 }
             }
 
-            // Run the operator with split borrows on the POI.
-            emitted.clear();
-            {
-                let poi = &mut self.pois[idx];
-                let PoiKindRt::Operator { op, stateful, .. } = &mut poi.kind else {
-                    unreachable!("checked by caller");
-                };
-                let state_slot = if *stateful {
-                    let key = state_key.expect("stateful operators have a state field");
-                    Some(
-                        poi.state
-                            .entry(key)
-                            .or_insert_with(|| op.init_state()),
-                    )
-                } else {
-                    None
-                };
-                let mut ctx = OpContext {
-                    state: state_slot.map(|s| &mut *s),
-                    routing_key: state_key,
-                    emitted: &mut emitted,
-                };
-                op.process(in_tuple.tuple, &mut ctx);
-
-                // Pair instrumentation: input key × observed output
-                // key, per instrumented out edge.
-                if let Some(in_key) = state_key {
-                    for (field, observer) in poi.observers.iter_mut() {
-                        for t in &emitted {
-                            observer.observe(in_key, t.key(field));
-                        }
-                    }
-                }
-            }
-
-            // Derived output inherits the input's span origin, so a
-            // span follows the tuple's lineage across transforming
-            // operators (forwarding operators copy it implicitly).
-            if in_tuple.tuple.is_span_sampled() {
-                let origin = in_tuple.tuple.span_origin_ns();
-                for t in &mut emitted {
-                    t.set_span_origin(origin);
-                }
-            }
-
-            // Deliver emitted tuples.
+            // Run the operator, then route its output tuple by tuple.
+            let core = &mut self.pois[idx].core;
+            core.emitted.clear();
+            core.dispatch(std::slice::from_ref(&in_tuple.tuple), state_key);
+            std::mem::swap(&mut core.emitted, &mut emitted);
             let mut copies = 0usize;
-            let drained = std::mem::take(&mut emitted);
-            for t in drained {
+            for &t in &emitted {
                 copies += self.emit_from(idx, t, in_tuple.born, &mut budget, wm);
             }
-            if self.pois[idx].out.is_empty() {
+            if is_sink {
                 wm.sink_tuples += 1;
                 self.in_flight -= 1;
                 let waited = self.window_index - in_tuple.born;
@@ -1454,47 +1251,19 @@ impl Simulation {
         wm: &mut WindowMetrics,
     ) -> usize {
         let from_server = self.pois[idx].server;
-        let n_out = self.pois[idx].out.len();
-        let mut copies = 0;
-        for out_idx in 0..n_out {
-            let (dest_global, edge) = {
-                let out = &mut self.pois[idx].out[out_idx];
-                let parallelism = self.topo.pos[out.dest_po.index()].parallelism;
-                let dest_instance = match &mut out.kind {
-                    OutKind::Shuffle { next } => {
-                        let i = *next % parallelism;
-                        *next = next.wrapping_add(1);
-                        i
-                    }
-                    OutKind::LocalOrShuffle { local, next } => {
-                        if local.is_empty() {
-                            let i = *next % parallelism;
-                            *next = next.wrapping_add(1);
-                            i
-                        } else {
-                            let i = local[*next % local.len()];
-                            *next = next.wrapping_add(1);
-                            i
-                        }
-                    }
-                    OutKind::Fields { field, router } => {
-                        router.route(tuple.key(*field), parallelism) as usize
-                    }
-                };
-                (
-                    self.poi_base[out.dest_po.index()] + dest_instance,
-                    out.edge,
-                )
-            };
+        let n_out = self.pois[idx].routes.len();
+        for pos in 0..n_out {
+            let routes = &mut self.pois[idx].routes;
+            let edge = routes.route(pos, std::slice::from_ref(&tuple), &mut self.route_runs);
+            let dest_global = self.route_runs[0].dest as usize;
             let dest_server = self.pois[dest_global].server;
             if dest_server != from_server {
                 *budget -= self.cluster.remote_send_cpu
                     + self.cluster.remote_cpu_per_byte * f64::from(tuple.payload_bytes());
             }
             self.deliver_data(from_server, dest_global, tuple, edge, born, wm);
-            copies += 1;
         }
-        copies
+        n_out
     }
 
     /// Hands a data tuple to `to_poi`, in memory when co-located,
@@ -1511,12 +1280,7 @@ impl Simulation {
         let dest_server = self.pois[to_poi].server;
         if dest_server == from_server {
             wm.edges[edge.index()].record_local(1);
-            self.pois[to_poi].input.push_back(InTuple {
-                tuple,
-                remote: false,
-                born,
-                enqueued: self.window_index,
-            });
+            self.enqueue(to_poi, tuple, false, born);
             return;
         }
         let bytes = self.cluster.message_bytes(tuple.wire_bytes());
@@ -1527,12 +1291,7 @@ impl Simulation {
             let crossed =
                 u64::from(self.servers[from_server.0].rack != self.servers[dest_server.0].rack);
             wm.edges[edge.index()].record_remote(1, crossed, bytes);
-            self.pois[to_poi].input.push_back(InTuple {
-                tuple,
-                remote: true,
-                born,
-                enqueued: self.window_index,
-            });
+            self.enqueue(to_poi, tuple, true, born);
         } else {
             self.servers[from_server.0].backlog.push_back(NetMsg {
                 from_server: from_server.0,
@@ -1541,6 +1300,18 @@ impl Simulation {
                 payload: NetPayload::Data { tuple, edge, born },
             });
         }
+    }
+
+    /// Appends a tuple that arrived now to `to_poi`'s input queue.
+    fn enqueue(&mut self, to_poi: usize, tuple: Tuple, remote: bool, born: u64) {
+        let enqueued = self.window_index;
+        let arrival = InTuple {
+            tuple,
+            remote,
+            born,
+            enqueued,
+        };
+        self.pois[to_poi].input.push_back(arrival);
     }
 
     /// Whether the NIC budgets (and rack uplinks when crossing racks)
@@ -1574,12 +1345,7 @@ impl Simulation {
                 let crossed =
                     u64::from(self.servers[msg.from_server].rack != self.servers[dest].rack);
                 wm.edges[edge.index()].record_remote(1, crossed, msg.bytes);
-                self.pois[msg.to_poi].input.push_back(InTuple {
-                    tuple,
-                    remote: true,
-                    born,
-                    enqueued: self.window_index,
-                });
+                self.enqueue(msg.to_poi, tuple, true, born);
             }
             NetPayload::Migrate { key, state } => {
                 wm.migrated_states += 1;
@@ -1595,6 +1361,7 @@ mod tests {
     use super::*;
     use crate::operator::{CountOperator, IdentityOperator};
     use crate::router::ModuloRouter;
+    use crate::topology::Grouping;
 
     /// The paper's evaluation topology: n sources → A (stateful count
     /// on field 0) → B (stateful count on field 1).

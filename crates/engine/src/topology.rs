@@ -387,6 +387,34 @@ impl Topology {
             .filter(|&po| self.out_edges[po.0].is_empty())
     }
 
+    /// Global indices of `po`'s instances: both runtimes number them
+    /// operator by operator, in declaration order.
+    pub(crate) fn instances(&self, po: PoId) -> std::ops::Range<usize> {
+        let base = self.pos[..po.0].iter().map(|p| p.parallelism).sum();
+        base..base + self.pos[po.0].parallelism
+    }
+
+    /// `instances(po).start` of every operator, in operator order.
+    pub(crate) fn instance_bases(&self) -> Vec<usize> {
+        let pos = 0..self.pos.len();
+        pos.map(|po| self.instances(PoId(po)).start).collect()
+    }
+
+    /// The instances of every successor of `po`, in out-edge order:
+    /// where each of its instances forwards ⑤ and `Eos`.
+    pub(crate) fn successor_instances(&self, po: PoId) -> Vec<usize> {
+        let out = self.out_edges[po.0].iter();
+        out.flat_map(|e| self.instances(self.edges[e.0].to))
+            .collect()
+    }
+
+    /// The instances of every operator without input: where a wave's
+    /// first ⑤ goes.
+    pub(crate) fn root_instances(&self) -> Vec<usize> {
+        let roots = (0..self.pos.len()).filter(|&po| self.in_edges[po].is_empty());
+        roots.flat_map(|po| self.instances(PoId(po))).collect()
+    }
+
     /// Instances of all predecessor operators of `po`: the ⑤
     /// propagates (and live `Eos` tokens) each of its instances awaits.
     pub(crate) fn predecessor_instances(&self, po: PoId) -> usize {

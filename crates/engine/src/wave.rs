@@ -9,16 +9,16 @@
 //! * [`WaveParticipant`] is one instance. It takes ③ `SEND_RECONF`
 //!   payloads cut by [`ReconfigPlan::split`], ⑤ `PROPAGATE` and the
 //!   coordinator's `ForceApply`; when it applies, the runtime installs
-//!   the routers, ships ⑥ `MIGRATE` and forwards the wave. The data
-//!   planes buffer tuples of the keys in its `pending` map (state on its
-//!   way in) and forward those of the keys in its `departed` map (state
-//!   gone).
+//!   the routers, ships ⑥ `MIGRATE` and forwards the wave. Its hold
+//!   rule tells both data planes to buffer a tuple whose key's state is
+//!   on its way in (`pending`), or to forward one whose state left
+//!   (`departed`).
 //! * [`WaveCoordinator`] is the manager. It stages ③, gates on the ④
 //!   acks, releases ⑤ and, when an attempt misses its deadline,
 //!   restages what is left and force-applies it (roll-forward). Its
 //!   clock is in windows: simulator windows, 100 ms live.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use crate::key::Key;
@@ -141,6 +141,31 @@ impl<B: Default> WaveParticipant<B> {
         self.awaiting = 0;
         self.departed.clear();
         std::mem::take(&mut self.pending)
+    }
+}
+
+/// The fate [`WaveParticipant::hold`] gives tuples of one state key.
+pub(crate) enum Hold {
+    /// Buffered until the key's state arrives; `first` if a stall began.
+    Buffered { first: bool },
+    /// The state left for this new owner: forward the tuples there.
+    Departed(PoiId),
+    /// Owned here: process the tuples.
+    Owned,
+}
+
+impl<T> WaveParticipant<VecDeque<T>> {
+    /// The data plane's hold rule: `tuples` of state key `key` are
+    /// buffered (consumed) while the key's state is pending here.
+    pub(crate) fn hold(&mut self, key: Key, tuples: impl IntoIterator<Item = T>) -> Hold {
+        if let Some(buf) = self.pending.get_mut(&key) {
+            let first = buf.is_empty();
+            buf.extend(tuples);
+            return Hold::Buffered { first };
+        }
+        self.departed
+            .get(&key)
+            .map_or(Hold::Owned, |&owner| Hold::Departed(owner))
     }
 }
 
@@ -447,6 +472,25 @@ mod tests {
         assert!(p.pending.is_empty());
         assert!(p.departed.is_empty());
         assert!(p.propagate(true).is_none(), "nothing staged after reset");
+    }
+
+    #[test]
+    fn hold_buffers_pending_forwards_departed_and_passes_owned() {
+        let mut p = WaveParticipant::<VecDeque<u32>>::new(1);
+        p.stage(reconf(&[(1, 7)], &[2]));
+        let (k1, k2, k3) = (Key::new(1), Key::new(2), Key::new(3));
+        assert!(matches!(p.hold(k2, [10]), Hold::Buffered { first: true }));
+        assert!(matches!(
+            p.hold(k2, [11, 12]),
+            Hold::Buffered { first: false }
+        ));
+        // Key 1 leaves only when the wave applies here.
+        assert!(matches!(p.hold(k1, [13]), Hold::Owned));
+        assert!(p.propagate(false).is_some());
+        assert!(matches!(p.hold(k1, [14]), Hold::Departed(PoiId(7))));
+        assert!(matches!(p.hold(k3, [15]), Hold::Owned));
+        assert_eq!(p.pending[&k2], [10, 11, 12]);
+        assert_eq!(p.pending.len(), 1);
     }
 
     fn plan(migrations: &[(usize, u64, usize)]) -> ReconfigPlan {
