@@ -18,12 +18,11 @@
 //! with different tags are counted as remote, so locality statistics
 //! remain meaningful even though everything runs in one process.
 //!
-//! Termination is by end-of-stream tokens: an exhausted (or stopped)
-//! source sends `Eos` to every successor instance; an operator
-//! forwards `Eos` once it has received one from every predecessor
-//! instance and holds no tuple buffered for in-flight state — so
-//! [`LiveRuntime::join`] returns exactly when the pipeline has fully
-//! drained.
+//! Termination is by protocol: an exhausted (or stopped) source sends
+//! `Eos` to every successor instance; an operator instance sends an end
+//! marker to each sibling on its last predecessor `Eos`, and exits (its
+//! own `Eos` out) once it holds every `Eos` and marker (`operator_loop`)
+//! — so [`LiveRuntime::join`] returns exactly when the pipeline drained.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -68,6 +67,9 @@ enum Msg {
     },
     /// End of stream from one predecessor instance.
     Eos,
+    /// End marker from a sibling: it holds every predecessor `Eos`, so
+    /// it forwards nothing more to this instance.
+    SiblingEos,
     /// Snapshot request: reply with a clone of the keyed state.
     StateProbe(Sender<HashMap<Key, StateValue>>),
     /// Wave recovery: apply the staged configuration *now*, without
@@ -267,7 +269,7 @@ impl LiveHot {
             ),
             forward_lost: reg.counter(
                 "live_forward_lost_tuples_total",
-                "forwarded stragglers lost because the new owner had exited",
+                "forwards whose new owner had exited (a tripwire: end markers keep it 0)",
             ),
         }
     }
@@ -354,6 +356,9 @@ struct WorkerCtx {
     /// Global indices of every successor instance; `Propagate` and
     /// `Eos` go to each.
     successors: Vec<usize>,
+    /// The other instances of this operator if it is keyed (as for the
+    /// hold rule): they exchange end markers.
+    siblings: Vec<usize>,
     /// This instance's side of the reconfiguration wave, including the
     /// data plane's `pending` buffers and `departed` forwards.
     wave: WaveParticipant<VecDeque<Tuple>>,
@@ -386,10 +391,14 @@ impl WorkerCtx {
         instance: usize,
         shared: &WorkerShared,
     ) -> Self {
+        let my_idx = shared.poi_base[po.index()] + instance;
+        let keyed = topology.state_field(po).is_some();
+        let siblings = topology.instances(po).filter(|&i| keyed && i != my_idx);
         Self {
             po_idx: po.index(),
-            my_idx: shared.poi_base[po.index()] + instance,
+            my_idx,
             successors: topology.successor_instances(po),
+            siblings: siblings.collect(),
             wave: WaveParticipant::new(topology.predecessor_instances(po)),
             routes: OutRoutes::new(topology, placement, po, instance),
             out_buf: vec![Vec::new(); shared.inboxes.len()],
@@ -472,7 +481,7 @@ impl WorkerCtx {
                         let moved = state.remove(&key);
                         // A dropped ⑥ loses the moved state (at-most-
                         // once); the new owner adopts the key with
-                        // fresh state when it drains.
+                        // fresh state when it exits.
                         if matches!(shared.control_fate(ControlClass::Migrate), ControlFate::Drop) {
                             continue;
                         }
@@ -496,7 +505,7 @@ impl WorkerCtx {
                 self.flush_outputs(shared, true);
                 let _ = reply.send(state.map_or_else(HashMap::new, |state| state.clone()));
             }
-            Msg::Data(_) | Msg::Batch(_) | Msg::Migrate { .. } | Msg::Eos | Msg::Crash { .. } => {}
+            _ => {}
         }
     }
 
@@ -970,12 +979,14 @@ impl LiveRuntime {
             let sends = coord.take_sends();
             let sent = !sends.is_empty();
             for send in sends {
-                let (class, idx, msg) = match send {
-                    WaveSend::Reconf(i, s) => (Some(ControlClass::SendReconf), i, Msg::Reconf(s)),
-                    WaveSend::Propagate(i) => (Some(ControlClass::Propagate), i, Msg::Propagate),
-                    WaveSend::ForceApply(i) => (None, i, Msg::ForceApply),
+                let class = send.class();
+                let fate = class.map_or(ControlFate::Deliver, |c| shared.control_fate(c));
+                let (idx, msg) = match send {
+                    WaveSend::Reconf(i, s) => (i, Msg::Reconf(s)),
+                    WaveSend::Propagate(i) => (i, Msg::Propagate),
+                    WaveSend::ForceApply(i) => (i, Msg::ForceApply),
                 };
-                match class.map_or(ControlFate::Deliver, |c| shared.control_fate(c)) {
+                match fate {
                     ControlFate::Deliver => deliver(shared, &mut coord, idx, msg),
                     ControlFate::Drop => {}
                     ControlFate::Delay(d) => timers.push((now + windows(d.max(1)), idx, msg)),
@@ -1065,13 +1076,21 @@ impl LiveRuntime {
     /// (empty state if none was taken). Crashed sources stay down — a
     /// restarted generator would replay its stream. At-most-once:
     /// state updates since the checkpoint and queued tuples are gone.
+    ///
+    /// Keys a sibling holds (moved there since the checkpoint) are not
+    /// restored: the simulator's held-elsewhere rule, by probe. A crash
+    /// mid-wave can still restore a key whose ⑥ is in flight.
     pub fn crash_instance(&self, po: PoId, instance: usize) {
         let idx = self.shared.poi_base[po.index()] + instance;
-        let restore = self
+        let mut restore = self
             .last_checkpoint
             .as_ref()
             .and_then(|cp| cp.states.get(idx).cloned())
             .unwrap_or_default();
+        let siblings = (0..self.shared.parallelism[po.index()]).filter(|&i| i != instance);
+        for held in siblings.filter_map(|i| self.probe_state(po, i)) {
+            restore.retain(|key, _| !held.contains_key(key));
+        }
         let _ = self.shared.inboxes[idx].send(Msg::Crash { restore });
     }
 
@@ -1120,9 +1139,7 @@ fn source_loop(
     let mut down = false;
     let batch_sleep = match rate {
         SourceRate::Saturate => None,
-        SourceRate::PerSecond(r) => Some(std::time::Duration::from_secs_f64(
-            64.0 / r.max(1.0),
-        )),
+        SourceRate::PerSecond(r) => Some(Duration::from_secs_f64(64.0 / r.max(1.0))),
     };
     loop {
         // Participate in the control plane between batches.
@@ -1142,17 +1159,9 @@ fn source_loop(
         }
         // Stage up to one batch of generated tuples, then route them
         // as a column: the batch-first data plane begins at the source.
-        let mut exhausted = false;
         stage.clear();
-        for _ in 0..64 {
-            match gen.next_tuple() {
-                Some(tuple) => stage.push(tuple),
-                None => {
-                    exhausted = true;
-                    break;
-                }
-            }
-        }
+        stage.extend(std::iter::from_fn(|| gen.next_tuple()).take(64));
+        let exhausted = stage.len() < 64;
         ctx.processed += stage.len() as u64;
         // Span origin: sampled tuples get their birth timestamp here,
         // once, before entering the data plane. Sampling is decided on
@@ -1182,42 +1191,41 @@ fn source_loop(
     ctx.exit(&shared, HashMap::new())
 }
 
+/// An operator instance's loop. It exits by one rule, with no timer:
+/// once it holds every predecessor `Eos` and every sibling's
+/// `SiblingEos`, which a sibling sends on its own last predecessor
+/// `Eos`. Nothing can then still be on its way in:
+///
+/// * a sibling forwards only while it processes predecessor input,
+///   which ends with that `Eos`, and a forward goes straight to the
+///   owner's inbox: per-sender FIFO puts it ahead of the marker;
+/// * a ⑥ shipped on ⑤ is ahead of the marker too, as ⑤ precedes `Eos`
+///   (live ⑥s are never delayed); it also precedes its shipper's
+///   `Applied`, so it is queued ahead of the next wave's ③;
+/// * a marker waits only on `Eos`, never on a sibling exiting: no wait
+///   cycle.
+///
+/// So a key still pending at exit lost its ⑥: it is adopted with fresh
+/// state (at-most-once). Open: a ⑥ force-applied, or a forward
+/// forwarded on (a key two waves moved), after the sender's marker can
+/// reach an exited owner.
 fn operator_loop(
     mut ctx: WorkerCtx,
     mut core: OperatorCore,
     shared: Arc<WorkerShared>,
     rx: Receiver<Msg>,
 ) -> InstanceReport {
-    let mut eos_seen = 0usize;
-
-    // Once every predecessor `Eos` is in but keys are still buffered
-    // awaiting a `Migrate`, the loop switches to a bounded-patience
-    // drain: if the state transfer was lost (fault injection, crashed
-    // sender), the orphaned keys are adopted after the grace period
-    // instead of hanging `join()` forever.
-    let mut draining = false;
+    let (mut eos_seen, mut markers_seen) = (0usize, 0usize);
     loop {
         // Drain the inbox opportunistically; only once it runs dry are
         // the send buffers flushed and the thread allowed to block —
         // so batches fill under load but never sit on an idle worker.
-        let msg = match rx.try_recv() {
-            Ok(m) => m,
-            Err(crossbeam::channel::TryRecvError::Disconnected) => break,
-            Err(crossbeam::channel::TryRecvError::Empty) => {
-                ctx.flush_outputs(&shared, false);
-                if draining {
-                    match rx.recv_timeout(Duration::from_millis(500)) {
-                        Ok(m) => m,
-                        Err(_) => break,
-                    }
-                } else {
-                    match rx.recv() {
-                        Ok(m) => m,
-                        Err(_) => break,
-                    }
-                }
-            }
-        };
+        let msg = rx.try_recv().or_else(|_| {
+            ctx.flush_outputs(&shared, false);
+            rx.recv()
+        });
+        let Ok(msg) = msg else { break };
+        let eos_before = eos_seen;
         match msg {
             Msg::Data(tuple) => ctx.process(&mut core, std::slice::from_ref(&tuple), &shared),
             Msg::Batch(tuples) => ctx.process(&mut core, &tuples, &shared),
@@ -1230,6 +1238,7 @@ fn operator_loop(
                 }
             }
             Msg::Eos => eos_seen += 1,
+            Msg::SiblingEos => markers_seen += 1,
             Msg::Crash { restore } => {
                 // Everything volatile is lost; respawn from the
                 // checkpoint the coordinator carried over.
@@ -1237,12 +1246,13 @@ fn operator_loop(
                 core.state = restore;
                 ctx.wave.reset();
                 // Queued messages die with the instance — except the
-                // stream-lifecycle `Eos` tokens (a respawned instance
-                // still knows its predecessors finished) and state
-                // probes, which must always be answered.
+                // stream-lifecycle `Eos` tokens and sibling markers (a
+                // respawned instance still knows who finished) and
+                // state probes, which must always be answered.
                 while let Ok(m) = rx.try_recv() {
                     match m {
                         Msg::Eos => eos_seen += 1,
+                        Msg::SiblingEos => markers_seen += 1,
                         Msg::StateProbe(reply) => {
                             let _ = reply.send(core.state.clone());
                         }
@@ -1252,42 +1262,25 @@ fn operator_loop(
             }
             msg => ctx.on_control(msg, &shared, Some(&mut core.state)),
         }
-        // Every predecessor finished: exit, or drain while keys still
-        // await their migrated state.
-        if eos_seen >= ctx.wave.preds {
-            if ctx.wave.pending.values().all(VecDeque::is_empty) {
-                break;
+        // The last predecessor `Eos` ends this instance's forwards.
+        if eos_before < ctx.wave.preds && eos_seen >= ctx.wave.preds {
+            for &sibling in &ctx.siblings {
+                let _ = shared.inboxes[sibling].send(Msg::SiblingEos);
             }
-            draining = true;
+        }
+        if eos_seen >= ctx.wave.preds && markers_seen >= ctx.siblings.len() {
+            break;
         }
     }
     // Adopt keys still buffered for a `Migrate` that never came (lost
     // transfer): their state starts fresh — at-most-once — but no
     // tuple is silently discarded.
-    let mut orphans: Vec<Key> = ctx
-        .wave
-        .pending
-        .iter()
-        .filter(|(_, buf)| !buf.is_empty())
-        .map(|(&k, _)| k)
-        .collect();
-    orphans.sort_unstable();
-    for key in orphans {
-        let mut buffered = ctx.wave.pending.remove(&key).unwrap_or_default();
+    let mut orphans: Vec<_> = ctx.wave.pending.drain().collect();
+    orphans.sort_unstable_by_key(|(key, _)| *key);
+    for (_, mut buffered) in orphans {
         ctx.process(&mut core, buffered.make_contiguous(), &shared);
     }
-    let report = ctx.exit(&shared, core.state);
-    // Queued data can only be late forwards (predecessor data precedes
-    // `Eos`): count them lost, then close the inbox so later ones fail
-    // at their sender. One landing right before the drop goes uncounted.
-    let queued = std::iter::from_fn(|| rx.try_recv().ok()).map(|msg| match msg {
-        Msg::Data(_) => 1,
-        Msg::Batch(tuples) => tuples.len() as u64,
-        _ => 0,
-    });
-    shared.hot.forward_lost.add(queued.sum());
-    drop(rx);
-    report
+    ctx.exit(&shared, core.state)
 }
 
 #[cfg(test)]
@@ -1530,11 +1523,9 @@ mod tests {
         // Every tuple sampled, across a wave that moves B's keys but
         // leaves A routing on the old table: the new owners buffer
         // until the state arrives, and the old owners forward every
-        // later tuple of a moved key. Each tuple B processes must land
-        // exactly one hop observation, however many deliveries it took.
-        // (Conservation is not asserted: a forward that reaches a new
-        // owner after it exited is lost — the open shutdown race noted
-        // in ROADMAP.md; such a tuple is neither processed nor timed.)
+        // later tuple of a moved key. B processes every tuple, and
+        // each must land exactly one hop observation, however many
+        // deliveries it took.
         let wave = LiveReconfig {
             routers: Vec::new(),
             ..modulo_wave(3, 9)
@@ -1554,7 +1545,7 @@ mod tests {
                     .map(|_| snap.total)
             })
             .sum();
-        assert!(processed > 30_000, "B processed only {processed} tuples");
+        assert_eq!(processed, 39_999, "tuples B processed");
         assert_eq!(hops, processed, "hop samples of B vs tuples B processed");
     }
 
@@ -1994,12 +1985,12 @@ mod tests {
 
     /// A plan whose migrations disagree with its router updates: A's
     /// keys move to modulo owners while S keeps routing by hash, so old
-    /// owners forward every later tuple of a moved key. A forward that
-    /// reaches a new owner after it exited is lost (the known forward
-    /// race). Whether or not that happens in a run, every tuple routed
-    /// into A is processed by an A instance or counted lost.
+    /// owners forward every later tuple of a moved key, up to the end
+    /// of the stream. The sibling end markers keep every new owner
+    /// alive until its siblings' forwards are in: A processes every
+    /// tuple, and no forward is lost.
     #[test]
-    fn tuples_into_a_are_processed_or_counted_lost() {
+    fn every_forward_to_a_new_owner_is_processed() {
         let (n, keys, total) = (3, 9, 30_000u64);
         let mut b = Topology::builder();
         let s = b.source("S", n, SourceRate::PerSecond(50_000.0), move |i| {
@@ -2041,8 +2032,8 @@ mod tests {
         let _ = get("live_buffered_tuples_total");
         assert_eq!(sum(s), total);
         assert!(forwarded > 0, "stale routers must force forwards");
-        assert!(lost <= forwarded);
-        assert_eq!(sum(a) + lost, total, "processed + lost forwards");
+        assert_eq!(lost, 0, "forwards lost to an exited owner");
+        assert_eq!(sum(a), total, "tuples A processed");
     }
 
     #[test]

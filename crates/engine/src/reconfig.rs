@@ -291,11 +291,7 @@ impl Simulation {
         due.sort_by_key(|(when, msg)| (*when, msg.to()));
         for (_, msg) in due {
             let poi = msg.to();
-            let class = match &msg {
-                WaveSend::Reconf(..) => Some(ControlClass::SendReconf),
-                WaveSend::Propagate(_) => Some(ControlClass::Propagate),
-                WaveSend::ForceApply(_) => None,
-            };
+            let class = msg.class();
             // Fault injection: the injector may drop or delay any
             // control message on the wire, except `ForceApply`.
             let fate = match (&mut self.fault, class) {

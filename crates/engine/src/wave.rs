@@ -21,6 +21,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
+use crate::fault::ControlClass;
 use crate::key::Key;
 use crate::reconfig::{ReconfigError, ReconfigPlan, WaveConfig};
 use crate::router::KeyRouter;
@@ -205,6 +206,16 @@ impl WaveSend {
     pub(crate) fn to(&self) -> usize {
         match self {
             Self::Reconf(i, _) | Self::Propagate(i) | Self::ForceApply(i) => *i,
+        }
+    }
+
+    /// The class a fault injector sees the message as; `None` for
+    /// `ForceApply`, which is never injected.
+    pub(crate) fn class(&self) -> Option<ControlClass> {
+        match self {
+            Self::Reconf(..) => Some(ControlClass::SendReconf),
+            Self::Propagate(_) => Some(ControlClass::Propagate),
+            Self::ForceApply(_) => None,
         }
     }
 }

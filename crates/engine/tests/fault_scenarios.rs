@@ -1,6 +1,5 @@
-//! Seeded fault-scenario acceptance and regression tests, gated behind
-//! the `fault-injection` feature (heavier runs; CI executes them with
-//! `cargo test --features fault-injection`).
+//! Seeded fault-scenario acceptance and regression tests, for both
+//! runtimes. They run with every `cargo test`.
 //!
 //! The two acceptance scenarios of the robustness milestone:
 //!
@@ -14,7 +13,6 @@
 //! `recorded_fault_seeds_*` pins the seeds that exercised recovery
 //! bugs while this protocol was built — they must keep draining and
 //! stay deterministic forever.
-#![cfg(feature = "fault-injection")]
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -738,4 +736,40 @@ fn live_crash_respawns_from_checkpoint() {
     rt.stop();
     let reports = rt.join();
     assert!(reports.iter().any(|r| r.po == a));
+}
+
+/// Crash-respawn keeps one owner per key: the checkpoint predates a
+/// wave, so it still lists keys the crashed old owner has since
+/// shipped to its siblings. The respawn must skip the keys a sibling
+/// holds, so no key ends up held by two instances.
+#[test]
+fn live_crash_after_a_wave_restores_no_key_held_by_a_sibling() {
+    let (topo, s, a, hop) = live_chain(60_000, 50_000.0);
+    let placement = Placement::aligned(&topo, PARALLELISM);
+    let mut rt = LiveRuntime::start(topo, placement, PARALLELISM, LiveConfig::default());
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let plan = live_modulo_plan(s, a, hop);
+    let (_, moved, old_owner, _) = plan.migrations[0];
+    // Keys only arrive before the wave: what a probe sees here, the
+    // checkpoint taken next holds too.
+    let held = rt.probe_state(a, old_owner).unwrap();
+    assert!(
+        held.contains_key(&moved),
+        "the checkpoint must hold a key the wave moves"
+    );
+    let _ = rt.checkpoint_now();
+    rt.reconfigure(plan);
+    rt.crash_instance(a, old_owner);
+    let reports = rt.join();
+    let mut owners: HashMap<Key, usize> = HashMap::new();
+    for r in reports.iter().filter(|r| r.po == a) {
+        for &key in r.state.keys() {
+            let first = owners.insert(key, r.instance);
+            assert!(
+                first.is_none(),
+                "key {key} held by A instances {first:?} and {}",
+                r.instance
+            );
+        }
+    }
 }

@@ -83,6 +83,7 @@ proptest! {
         keys in 4u64..24,
         seed in any::<u64>(),
         batch_size in prop::sample::select(vec![1usize, 64]),
+        stale_routers in any::<bool>(),
     ) {
         let total = 40_000u64;
         // Rate-limit so the stream outlives the reconfiguration.
@@ -120,10 +121,14 @@ proptest! {
                 (old != new).then_some((bb, key, old, new))
             })
             .collect();
-        rt.reconfigure(LiveReconfig {
-            routers: vec![(a, hop, Arc::new(ModuloRouter) as Arc<dyn KeyRouter>)],
-            migrations,
-        });
+        // Stale routers: A keeps routing by hash, so every later tuple
+        // of a moved key is forwarded from its old owner to the new one.
+        let routers = if stale_routers {
+            Vec::new()
+        } else {
+            vec![(a, hop, Arc::new(ModuloRouter) as Arc<dyn KeyRouter>)]
+        };
+        rt.reconfigure(LiveReconfig { routers, migrations });
 
         let reports = rt.join();
         let expected = (total / n as u64) * n as u64;
