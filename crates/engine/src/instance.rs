@@ -1,25 +1,60 @@
-//! One operator instance's data plane, written once for both runtimes:
-//! [`OutRoutes::route`] decides where output goes and
-//! [`OperatorCore::dispatch`] runs the operator; the hold rule of a
-//! wave is `WaveParticipant::hold`. Like the wave, it is sans-IO: the
-//! simulator and the live runtime keep only their I/O around it.
+//! One operator instance, written once.
 //!
-//! The live runtime hands these routines whole batches, the simulator
+//! The data plane is shared by both runtimes: [`OutRoutes::route`]
+//! decides where output goes and [`OperatorCore::dispatch`] runs the
+//! operator; the hold rule of a wave is `WaveParticipant::hold`. The
+//! live runtime hands these routines whole batches, the simulator
 //! one-tuple slices, with the same result: `route_batch` expands to
 //! per-key `route` calls, `on_batch` to per-tuple `process` calls,
 //! `observe_run` to `count` observes, and a round-robin edge advances
 //! its counter once per tuple.
+//!
+//! [`Instance`] is the live runtime's per-instance rule (paper
+//! Algorithm 1), for sources and operators alike, as a sans-IO actor
+//! over one FIFO inbox that sends only through an [`Outbox`]: one
+//! thread per instance drives it (`live.rs`), or one seeded thread for
+//! all (its tests).
+//!
+//! End of stream is by protocol. A source is done once exhausted,
+//! stopped or crashed, and sends `Eos` to every successor instance. A
+//! keyed operator instance sends one `SiblingEos` marker to each
+//! sibling on its last predecessor `Eos`, and is done once it holds
+//! every `Eos` and every marker. Nothing can then still be on its way
+//! in:
+//!
+//! * a sibling forwards only while it processes predecessor input,
+//!   which ends with that `Eos`, and a forward goes straight to the
+//!   owner's inbox: per-sender FIFO puts it ahead of the marker;
+//! * a ⑥ shipped on ⑤ is ahead of the marker too, as ⑤ precedes `Eos`
+//!   (live ⑥s are never delayed); it also precedes its shipper's
+//!   `Applied`, so it is queued ahead of the next wave's ③;
+//! * a marker waits only on `Eos`, never on a sibling exiting: no wait
+//!   cycle.
+//!
+//! So a key still pending at exit lost its ⑥: [`Instance::finish`]
+//! adopts it with fresh state (at-most-once). Open: a ⑥ force-applied,
+//! or a forward forwarded on (a key two waves moved), after the
+//! sender's marker can reach an exited owner.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use crossbeam::channel::Sender;
+use parking_lot::Mutex;
+
+use crate::fault::{ControlClass, ControlFate, FaultInjector};
 use crate::key::Key;
-use crate::operator::{OpContext, Operator, StateValue};
+use crate::live::{InstanceReport, LiveConfig, LiveObserver};
+use crate::obs::{Counter, MetricsRegistry, SpanRecorder, SpanSampler};
+use crate::operator::{IdentityOperator, OpContext, Operator, StateValue};
 use crate::router::{push_dest_run, DestRun, KeyRouter};
 use crate::sim::Placement;
-use crate::topology::{EdgeId, Grouping, PoId, Topology};
+use crate::topology::{EdgeId, Grouping, PoId, PoKind, SourceRate, Topology, TupleSource};
 use crate::tuple::{tuple_run_len, Tuple};
+use crate::wave::{Hold, WaveParticipant, WaveSend};
 
 /// Observes the `(input key, output key)` pairs flowing through a
 /// stateful instance — the instrumentation hook of paper §3.2.
@@ -290,6 +325,673 @@ impl OperatorCore {
                 let len = tuple_run_len(out, *field);
                 observer.observe_run(key, out[0].key(*field), len as u64);
                 out = &out[len..];
+            }
+        }
+    }
+}
+
+/// Messages on an instance's inbox. Data and control share one FIFO
+/// per receiver (like a TCP connection in Storm), so per-sender
+/// ordering guarantees hold for `Eos`.
+pub(crate) enum Msg {
+    /// A data tuple.
+    Data(Tuple),
+    /// A run of data tuples coalesced by the sender (one message instead
+    /// of `len()`); the receiver processes them in order, so FIFO
+    /// semantics are identical to `len()` `Data`s.
+    Batch(Vec<Tuple>),
+    /// ③ new configuration, ⑤ a predecessor instance (or the
+    /// coordinator) has switched, or apply now (a retry's release).
+    Wave(WaveSend),
+    /// ⑥ Migrated state for a key this instance now owns.
+    Migrate { key: Key, state: Option<StateValue> },
+    /// End of stream from one predecessor instance.
+    Eos,
+    /// End marker from a sibling: it holds every predecessor `Eos`, so
+    /// it forwards nothing more to this instance.
+    SiblingEos,
+    /// Snapshot request: reply with a clone of the keyed state.
+    StateProbe(Sender<HashMap<Key, StateValue>>),
+    /// Fault injection: the instance "crashes" — keyed state, queued
+    /// messages and any staged wave configuration are lost — then
+    /// respawns with the carried checkpoint state.
+    Crash { restore: HashMap<Key, StateValue> },
+}
+
+/// Instance → wave coordinator notifications, tagged with the global
+/// instance index so retries and duplicates never double count.
+pub(crate) enum CoordMsg {
+    /// ④ An instance staged its new configuration.
+    Ack(usize),
+    /// An instance applied its configuration and forwarded the wave.
+    Applied(usize),
+    /// An instance shut down (its `Eos` tokens are out).
+    Exited(usize),
+}
+
+/// An instance's only I/O, provided by its driver.
+pub(crate) trait Outbox {
+    /// Sends `msg` to global instance `dest`; `false` if `dest` has
+    /// exited and can take nothing more.
+    fn send(&mut self, dest: usize, msg: Msg) -> bool;
+
+    /// Tells the wave coordinator `note`.
+    fn notify(&mut self, note: CoordMsg);
+}
+
+/// Per-edge transfer counters.
+#[derive(Debug, Default)]
+pub(crate) struct EdgeCounters {
+    pub(crate) local: AtomicU64,
+    pub(crate) remote: AtomicU64,
+}
+
+/// What every instance of one live deployment shares: placement tags,
+/// transfer and hot-path counters, the fault injector, span tracing
+/// and the stop flag. It holds no channel.
+pub(crate) struct Shared {
+    /// Placement tag of every instance, by global index.
+    pub(crate) server: Vec<usize>,
+    pub(crate) edges: Vec<EdgeCounters>,
+    pub(crate) stop: AtomicBool,
+    /// Fault injector consulted for every control message: ③/⑤ by the
+    /// wave driver, ⑥ by the sending instance.
+    pub(crate) fault: Mutex<Option<FaultInjector>>,
+    /// `true` when the installed fault plan schedules data-plane batch
+    /// drops. Gates the injector lock out of the batch send path: the
+    /// hot path pays one relaxed load, never a mutex, unless batch
+    /// faults are actually armed.
+    pub(crate) batch_faults: AtomicBool,
+    /// Data-plane batch size (≤ 1 disables batching).
+    batch_size: usize,
+    /// Hot-path instruments. Without an attached registry they live in
+    /// a private one that is never exported, so increments never
+    /// branch.
+    tuples_routed: Counter,
+    tuples_remote: Counter,
+    migrations_sent: Counter,
+    migration_bytes: Counter,
+    batch_sends: Counter,
+    batch_tuples: Counter,
+    batch_control_flushes: Counter,
+    batch_drops: Counter,
+    batch_dropped_tuples: Counter,
+    buffered_tuples: Counter,
+    late_forwarded: Counter,
+    forward_lost: Counter,
+    /// Span sampler (see [`LiveConfig::span_sampler`]); `None` keeps
+    /// every span branch on the hot path never-taken.
+    sampler: Option<SpanSampler>,
+    /// Registry span histograms are registered in (each instance owns a
+    /// [`SpanRecorder`]; idempotent registration shares the buckets).
+    span_metrics: Option<Arc<MetricsRegistry>>,
+    /// The monotonic clock epoch: all span timestamps are nanoseconds
+    /// since this instant, so they are comparable across threads.
+    clock: Instant,
+    /// Routing epoch, bumped when a reconfiguration wave completes.
+    /// Read (relaxed) when recording span observations, so latency
+    /// histograms are split before/after each wave.
+    pub(crate) epoch: AtomicU64,
+}
+
+impl Shared {
+    pub(crate) fn new(topology: &Topology, placement: &Placement, config: &LiveConfig) -> Self {
+        let private = MetricsRegistry::new();
+        let reg = config.metrics.as_deref().unwrap_or(&private);
+        Self {
+            server: placement.per_po.iter().flatten().map(|s| s.0).collect(),
+            edges: (0..topology.edges().len())
+                .map(|_| EdgeCounters::default())
+                .collect(),
+            stop: AtomicBool::new(false),
+            fault: Mutex::new(None),
+            batch_faults: AtomicBool::new(false),
+            batch_size: config.batch_size,
+            tuples_routed: reg.counter(
+                "live_tuples_routed_total",
+                "tuples sent on all edges by the live runtime",
+            ),
+            tuples_remote: reg.counter(
+                "live_tuples_remote_total",
+                "live tuples that crossed a server boundary",
+            ),
+            migrations_sent: reg.counter(
+                "live_migrations_total",
+                "key states shipped by live reconfiguration waves",
+            ),
+            migration_bytes: reg.counter(
+                "live_migration_bytes_total",
+                "bytes of key state shipped by live waves",
+            ),
+            batch_sends: reg.counter(
+                "live_batch_sends_total",
+                "coalesced Batch messages sent on the live data plane",
+            ),
+            batch_tuples: reg.counter(
+                "live_batch_tuples_total",
+                "tuples carried inside live Batch messages",
+            ),
+            batch_control_flushes: reg.counter(
+                "live_batch_control_flushes_total",
+                "send-buffer flushes forced by control-plane boundaries",
+            ),
+            batch_drops: reg.counter(
+                "live_batch_drops_total",
+                "Batch messages lost mid-flight to fault injection",
+            ),
+            batch_dropped_tuples: reg.counter(
+                "live_batch_dropped_tuples_total",
+                "tuples lost inside fault-dropped Batch messages",
+            ),
+            buffered_tuples: reg.counter(
+                "live_buffered_tuples_total",
+                "tuples buffered while their key's state was in flight",
+            ),
+            late_forwarded: reg.counter(
+                "live_late_forwarded_total",
+                "stragglers forwarded from old to new key owners",
+            ),
+            forward_lost: reg.counter(
+                "live_forward_lost_tuples_total",
+                "forwards whose new owner had exited (a tripwire: end markers keep it 0)",
+            ),
+            sampler: config.span_sampler,
+            span_metrics: config.metrics.clone(),
+            clock: Instant::now(),
+            epoch: AtomicU64::new(0),
+        }
+    }
+
+    /// What the injector (if armed) decides about one control message.
+    pub(crate) fn control_fate(&self, class: ControlClass) -> ControlFate {
+        self.fault
+            .lock()
+            .as_mut()
+            .map_or(ControlFate::Deliver, |inj| inj.on_control(class))
+    }
+
+    /// Sends one coalesced batch, consulting the armed fault injector
+    /// first: a dropped batch is lost on the wire with every tuple in it
+    /// (at-most-once), accounted by the `live_batch_drop*` counters.
+    fn send_batch(&self, dest: usize, batch: Vec<Tuple>, out: &mut impl Outbox) {
+        self.batch_sends.inc();
+        self.batch_tuples.add(batch.len() as u64);
+        if self.batch_faults.load(Ordering::Relaxed) {
+            let mut fault = self.fault.lock();
+            if fault.as_mut().is_some_and(FaultInjector::on_batch_send) {
+                self.batch_drops.inc();
+                self.batch_dropped_tuples.add(batch.len() as u64);
+                return;
+            }
+        }
+        out.send(dest, Msg::Batch(batch));
+    }
+
+    /// Nanoseconds since the clock epoch.
+    fn now_ns(&self) -> u64 {
+        self.clock.elapsed().as_nanos() as u64
+    }
+}
+
+/// One live instance, source or operator: the per-instance rule as an
+/// actor. A driver delivers its inbox in order to
+/// [`on_msg`](Self::on_msg), lets a source [`pull`](Self::pull), calls
+/// [`idle`](Self::idle) when the inbox ran dry and it is about to
+/// wait, and [`finish`](Self::finish)es it once [`done`](Self::done).
+pub(crate) struct Instance {
+    po: PoId,
+    /// Index within the operator.
+    instance: usize,
+    /// Global index.
+    index: usize,
+    /// A source's generator and rate, until it runs dry or crashes (a
+    /// crashed source stays down: restarting its generator would replay
+    /// its stream); `None` for an operator.
+    source: Option<(Box<dyn TupleSource>, SourceRate)>,
+    /// The operator; a source's is an undispatched placeholder.
+    core: OperatorCore,
+    /// Global indices of every successor instance; `Propagate` and
+    /// `Eos` go to each.
+    successors: Vec<usize>,
+    /// The other instances of this operator if it is keyed (as for the
+    /// hold rule): they exchange end markers.
+    siblings: Vec<usize>,
+    /// `Eos` tokens and sibling markers received.
+    eos: usize,
+    markers: usize,
+    /// A crash is draining the messages queued behind it: all but `Eos`,
+    /// markers and probes die with the instance until the inbox runs
+    /// dry.
+    respawning: bool,
+    /// This instance's side of the reconfiguration wave, including the
+    /// data plane's `pending` buffers and `departed` forwards.
+    wave: WaveParticipant<VecDeque<Tuple>>,
+    routes: OutRoutes,
+    /// Per-destination send buffers (indexed by global instance), the
+    /// data-plane batching of `LiveConfig::batch_size`. Edge counters
+    /// and observers get bulk adds per routed batch, so locality
+    /// statistics do not depend on the batch size.
+    out_buf: Vec<Vec<Tuple>>,
+    /// Scratch `(dest, len)` runs of one out edge.
+    run_buf: Vec<DestRun>,
+    /// Tuples processed (for a source: emitted).
+    processed: u64,
+    /// Span tracing: each instance owns a recorder; `None` when the
+    /// sampler is off, so the hot path pays one never-taken branch.
+    span_rec: Option<SpanRecorder>,
+    /// Scratch `(hop_send_ns, remote, origin_ns)` stamps of the sampled
+    /// tuples one call processed.
+    sampled: Vec<(u64, bool, u64)>,
+    shared: Arc<Shared>,
+}
+
+impl Instance {
+    /// Every instance of `topology`, in global order, each feeding the
+    /// observers registered on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an observer names a missing instance or out edge.
+    pub(crate) fn all(
+        topology: &Topology,
+        placement: &Placement,
+        shared: &Arc<Shared>,
+        observers: Vec<LiveObserver>,
+    ) -> Vec<Self> {
+        let n = topology.total_instances();
+        let mut slots: Vec<ObserverSlots> = (0..n).map(|_| ObserverSlots::default()).collect();
+        for (po, instance, edge, field, obs) in observers {
+            let instances = topology.instances(po);
+            assert!(instance < instances.len(), "observer on a missing instance");
+            let out_edges = topology.out_edges(po).iter().copied();
+            slots[instances.start + instance].add(out_edges, edge, field, obs);
+        }
+        let mut slots = slots.into_iter();
+        let mut all = Vec::with_capacity(n);
+        for (po, spec) in (0..).map(PoId).zip(&topology.pos) {
+            let (range, state_field) = (topology.instances(po), topology.state_field(po));
+            for (instance, index) in range.clone().enumerate() {
+                let (source, op, stateful): (_, Box<dyn Operator>, _) = match &spec.kind {
+                    PoKind::Source { factory, rate } => (
+                        Some((factory(instance), *rate)),
+                        Box::new(IdentityOperator),
+                        false,
+                    ),
+                    PoKind::Operator { factory, stateful } => (None, factory(instance), *stateful),
+                };
+                let mut core = OperatorCore::new(op, stateful, state_field);
+                core.observers = slots.next().expect("one observer slot per instance");
+                let siblings = range
+                    .clone()
+                    .filter(|&i| state_field.is_some() && i != index);
+                all.push(Self {
+                    po,
+                    instance,
+                    index,
+                    source,
+                    core,
+                    successors: topology.successor_instances(po),
+                    siblings: siblings.collect(),
+                    eos: 0,
+                    markers: 0,
+                    respawning: false,
+                    wave: WaveParticipant::new(topology.predecessor_instances(po)),
+                    routes: OutRoutes::new(topology, placement, po, instance),
+                    out_buf: vec![Vec::new(); n],
+                    run_buf: Vec::new(),
+                    processed: 0,
+                    span_rec: shared
+                        .sampler
+                        .map(|_| SpanRecorder::new(shared.span_metrics.clone())),
+                    sampled: Vec::new(),
+                    shared: Arc::clone(shared),
+                });
+            }
+        }
+        all
+    }
+
+    /// Handles one message of the inbox: the whole per-instance rule.
+    pub(crate) fn on_msg(&mut self, msg: Msg, out: &mut impl Outbox) {
+        // Queued messages die with a crashed instance — except the
+        // stream-lifecycle `Eos` tokens and sibling markers (a respawned
+        // instance still knows who finished) and state probes, which
+        // must always be answered.
+        if self.respawning && !matches!(msg, Msg::Eos | Msg::SiblingEos | Msg::StateProbe(_)) {
+            return;
+        }
+        match msg {
+            Msg::Data(tuple) => self.process(std::slice::from_ref(&tuple), out),
+            Msg::Batch(tuples) => self.process(&tuples, out),
+            Msg::Wave(WaveSend::Reconf(_, staged)) => {
+                self.flush(out, true);
+                self.wave.stage(*staged);
+                out.notify(CoordMsg::Ack(self.index));
+            }
+            Msg::Wave(WaveSend::Propagate(_)) => self.apply(false, out),
+            Msg::Wave(WaveSend::ForceApply(_)) => self.apply(true, out),
+            Msg::Migrate { key, state } => {
+                if let Some(state) = state {
+                    self.core.state.insert(key, state);
+                }
+                if let Some(mut buffered) = self.wave.pending.remove(&key) {
+                    self.process(buffered.make_contiguous(), out);
+                }
+            }
+            Msg::Eos => {
+                self.eos += 1;
+                // The last predecessor `Eos` ends this instance's
+                // forwards.
+                if self.eos == self.wave.preds {
+                    for &sibling in &self.siblings {
+                        out.send(sibling, Msg::SiblingEos);
+                    }
+                }
+            }
+            Msg::SiblingEos => self.markers += 1,
+            Msg::StateProbe(reply) => {
+                // Checkpoint boundary: buffered output is handed off
+                // before the state snapshot is taken.
+                self.flush(out, true);
+                let _ = reply.send(self.core.state.clone());
+            }
+            Msg::Crash { restore } => {
+                // Everything volatile is lost; the instance respawns from
+                // the checkpoint the runtime carried over.
+                self.out_buf.iter_mut().for_each(Vec::clear);
+                self.core.state = restore;
+                self.wave.reset();
+                self.respawning = true;
+                self.source = None;
+            }
+        }
+    }
+
+    /// ⑤ or `ForceApply`. When the staged configuration applies: flush,
+    /// install its routers, ship ⑥ `Migrate` for every moved key (an
+    /// operator's keyed state; a source has none), forward ⑤ to every
+    /// successor and report `Applied`.
+    fn apply(&mut self, force: bool, out: &mut impl Outbox) {
+        let Some(applied) = self.wave.propagate(force) else {
+            return;
+        };
+        // Flush before switching tables and forwarding the wave:
+        // buffered tuples were routed under the old configuration and
+        // must stay ahead of the `Propagate`s in every channel.
+        self.flush(out, true);
+        // A router on anything but a fields out edge is ignored.
+        for (edge, router) in applied.routers {
+            self.routes.set_router(edge, router);
+        }
+        for (key, dest) in applied.send {
+            let moved = self.core.state.remove(&key);
+            // A dropped ⑥ loses the moved state (at-most-once); the new
+            // owner adopts the key with fresh state when it exits.
+            if self.shared.control_fate(ControlClass::Migrate) == ControlFate::Drop {
+                continue;
+            }
+            self.shared.migrations_sent.inc();
+            self.shared
+                .migration_bytes
+                .add(moved.as_ref().map_or(0, StateValue::size_bytes));
+            out.send(dest.index(), Msg::Migrate { key, state: moved });
+        }
+        for &succ in &self.successors {
+            out.send(succ, Msg::Wave(WaveSend::Propagate(succ)));
+        }
+        out.notify(CoordMsg::Applied(self.index));
+    }
+
+    /// A source's step: stages at most `max` generated tuples (fewer
+    /// means the generator ran dry), stamps span origins and routes
+    /// them as a column. An operator has nothing to pull.
+    pub(crate) fn pull(&mut self, max: usize, out: &mut impl Outbox) {
+        let Some((gen, _)) = &mut self.source else {
+            return;
+        };
+        let mut stage = Vec::with_capacity(max);
+        stage.extend(std::iter::from_fn(|| gen.next_tuple()).take(max));
+        if stage.len() < max {
+            self.source = None;
+        }
+        self.processed += stage.len() as u64;
+        // Span origin: sampled tuples get their birth timestamp here,
+        // once, before entering the data plane. Sampling is decided on
+        // the field the (first) fields-grouped out edge routes on.
+        if let (Some(sampler), Some(field)) = (&self.shared.sampler, self.routes.span_field()) {
+            sampler.stamp_batch(&mut stage, field, self.shared.now_ns());
+        }
+        self.route(&mut stage, out);
+    }
+
+    /// When a source's next [`pull`](Self::pull) is due, as time since
+    /// it started: a paced source's tuple `k` is due at `k / rate`, a
+    /// saturating source's at once (`ZERO`). `None` for an operator.
+    pub(crate) fn pull_due(&self) -> Option<Duration> {
+        let secs = match self.source.as_ref()?.1 {
+            SourceRate::PerSecond(r) => self.processed as f64 / r.max(1.0),
+            SourceRate::Saturate => 0.0,
+        };
+        Some(Duration::from_secs_f64(secs))
+    }
+
+    /// The exit condition: every predecessor `Eos` and every sibling
+    /// marker is in. A source has neither: it is done once stopped, or
+    /// once its generator is gone.
+    pub(crate) fn done(&self) -> bool {
+        match self.source {
+            Some(_) => self.shared.stop.load(Ordering::Relaxed),
+            None => self.eos >= self.wave.preds && self.markers >= self.siblings.len(),
+        }
+    }
+
+    /// The inbox ran dry and the driver is about to wait: the partial
+    /// batches are handed off, so they never sit on an idle instance,
+    /// and a crash's drain ends.
+    pub(crate) fn idle(&mut self, out: &mut impl Outbox) {
+        self.flush(out, false);
+        self.respawning = false;
+    }
+
+    /// Shuts this instance down: adopts orphaned keys, then sends the
+    /// last partial batches ahead of its `Eos` tokens (per-sender
+    /// FIFO), then tells the coordinator it exited.
+    pub(crate) fn finish(mut self, out: &mut impl Outbox) -> InstanceReport {
+        // Keys still buffered for a `Migrate` that never came (lost
+        // transfer) start fresh — at-most-once — but no tuple is
+        // silently discarded.
+        let mut orphans: Vec<_> = self.wave.pending.drain().collect();
+        orphans.sort_unstable_by_key(|(key, _)| *key);
+        for (_, mut buffered) in orphans {
+            self.process(buffered.make_contiguous(), out);
+        }
+        self.flush(out, true);
+        for &succ in &self.successors {
+            out.send(succ, Msg::Eos);
+        }
+        out.notify(CoordMsg::Exited(self.index));
+        InstanceReport {
+            po: self.po,
+            instance: self.instance,
+            state: self.core.state,
+            processed: self.processed,
+        }
+    }
+
+    /// Flushes every non-empty send buffer. `control` marks flushes
+    /// forced by a control-plane boundary (counted separately); those
+    /// must happen *before* the control message is sent so per-sender
+    /// FIFO ordering — data routed under the old configuration arrives
+    /// ahead of `Propagate`/`Eos` — is preserved.
+    fn flush(&mut self, out: &mut impl Outbox, control: bool) {
+        let mut flushed = false;
+        for dest in 0..self.out_buf.len() {
+            if !self.out_buf[dest].is_empty() {
+                let batch = std::mem::take(&mut self.out_buf[dest]);
+                self.shared.send_batch(dest, batch, out);
+                flushed = true;
+            }
+        }
+        if control && flushed {
+            self.shared.batch_control_flushes.inc();
+        }
+    }
+
+    /// Sends `tuples` down every out edge of this instance. Each edge
+    /// turns the batch into `(dest, len)` runs by the shared
+    /// [`OutRoutes::route`], and each run is appended to its
+    /// destination's send buffer. Edge and hot counters get one relaxed
+    /// add per edge per batch instead of one contended RMW per tuple.
+    /// Edges are routed one after another, so a tuple's copies on
+    /// different edges are not interleaved; per-destination order (all
+    /// FIFO guarantees rely on) is kept.
+    fn route(&mut self, tuples: &mut [Tuple], out: &mut impl Outbox) {
+        if tuples.is_empty() || self.routes.is_empty() {
+            return;
+        }
+        let shared = &*self.shared;
+        let my_server = shared.server[self.index];
+        let batch = shared.batch_size;
+        // One clock read per batch covers every span hop stamp in it;
+        // sampler off ⇒ the stamping pass is skipped.
+        let hop_now = shared.sampler.as_ref().map(|_| shared.now_ns());
+        let mut runs = std::mem::take(&mut self.run_buf);
+        for pos in 0..self.routes.len() {
+            let edge = self.routes.route(pos, tuples, &mut runs);
+            let (mut local, mut remote) = (0u64, 0u64);
+            let mut offset = 0usize;
+            for run in &runs {
+                let len = run.len as usize;
+                let dest = run.dest as usize;
+                let remote_hop = shared.server[dest] != my_server;
+                if remote_hop {
+                    remote += u64::from(run.len);
+                } else {
+                    local += u64::from(run.len);
+                }
+                if let Some(now) = hop_now {
+                    // One predictable branch per tuple: at 1/64 sampling
+                    // the stamp is almost never taken, and the plain
+                    // pass beats re-detecting key runs just to share it.
+                    for t in &mut tuples[offset..offset + len] {
+                        if t.is_span_sampled() {
+                            t.set_span_hop(now, remote_hop);
+                        }
+                    }
+                }
+                let mut rest = &tuples[offset..offset + len];
+                offset += len;
+                if batch <= 1 {
+                    for &tuple in rest {
+                        out.send(dest, Msg::Data(tuple));
+                    }
+                    continue;
+                }
+                // Append the run in chunks sized to the remaining
+                // buffer room, so every batch leaves exactly full.
+                while !rest.is_empty() {
+                    let buf = &mut self.out_buf[dest];
+                    let take = rest.len().min(batch - buf.len());
+                    buf.extend_from_slice(&rest[..take]);
+                    rest = &rest[take..];
+                    if buf.len() >= batch {
+                        let full = std::mem::replace(buf, Vec::with_capacity(batch));
+                        shared.send_batch(dest, full, out);
+                    }
+                }
+            }
+
+            let counters = &shared.edges[edge.index()];
+            if local > 0 {
+                counters.local.fetch_add(local, Ordering::Relaxed);
+            }
+            if remote > 0 {
+                counters.remote.fetch_add(remote, Ordering::Relaxed);
+                shared.tuples_remote.add(remote);
+            }
+        }
+        self.run_buf = runs;
+        let routed = tuples.len() * self.routes.len();
+        shared.tuples_routed.add(routed as u64);
+    }
+
+    /// The processing routine. Every tuple goes through it: a
+    /// `Msg::Data` as a one-tuple slice, a `Msg::Batch` whole, and the
+    /// buffered tuples released by `Migrate` or adopted at shutdown.
+    ///
+    /// Walks `tuples` in runs of equal state key and applies the
+    /// wave's hold rule to each. A buffered run waits in its `pending`
+    /// buffer; a departed run is forwarded to the new owner as one
+    /// `Msg::Batch` (straight to its inbox: no batch counters, no batch
+    /// fault gate); an owned run goes through the core's dispatch. The
+    /// call's output is routed once at the end. Span hops are recorded
+    /// for the processed tuples only — a buffered or forwarded tuple
+    /// records its hop when it is finally processed.
+    fn process(&mut self, tuples: &[Tuple], out: &mut impl Outbox) {
+        let core = &mut self.core;
+        let shared = &*self.shared;
+        let arrive = match self.span_rec {
+            Some(_) if tuples.iter().any(|t| t.span_hop().is_some()) => Some(shared.now_ns()),
+            _ => None,
+        };
+        self.sampled.clear();
+        core.emitted.clear();
+        let mut rest = tuples;
+        while !rest.is_empty() {
+            // Without a routed input field there is no per-key state:
+            // one dispatch covers the whole call.
+            let (key, len) = match core.state_field {
+                Some(f) => (Some(rest[0].key(f)), tuple_run_len(rest, f)),
+                None => (None, rest.len()),
+            };
+            let (run, tail) = rest.split_at(len);
+            rest = tail;
+            let n = len as u64;
+            if let Some(key) = key {
+                match self.wave.hold(key, run.iter().copied()) {
+                    Hold::Owned => {}
+                    Hold::Buffered { .. } => {
+                        shared.buffered_tuples.add(n);
+                        continue;
+                    }
+                    Hold::Departed(owner) => {
+                        shared.late_forwarded.add(n);
+                        if !out.send(owner.index(), Msg::Batch(run.to_vec())) {
+                            shared.forward_lost.add(n);
+                        }
+                        continue;
+                    }
+                }
+            }
+            core.dispatch(run, key);
+            self.processed += n;
+            if arrive.is_some() {
+                self.sampled.extend(run.iter().filter_map(|t| {
+                    t.span_hop()
+                        .map(|(sent, remote)| (sent, remote, t.span_origin_ns()))
+                }));
+            }
+        }
+        let mut emitted = std::mem::take(&mut core.emitted);
+        self.route(&mut emitted, out);
+        self.core.emitted = emitted;
+
+        // Queue wait is per sender stamp; processing time is an equal
+        // share of the call, which has no per-tuple boundary to time.
+        let (Some(rec), Some(arrive)) = (self.span_rec.as_mut(), arrive) else {
+            return;
+        };
+        if self.sampled.is_empty() {
+            return;
+        }
+        let done = self.shared.now_ns();
+        let per_tuple = done.saturating_sub(arrive) / tuples.len() as u64;
+        let epoch = self.shared.epoch.load(Ordering::Relaxed);
+        let po = self.po.index();
+        for &(sent, remote, origin) in &self.sampled {
+            rec.record_hop(po, epoch, remote, arrive.saturating_sub(sent), per_tuple);
+            if self.routes.is_empty() {
+                rec.record_end(po, epoch, done.saturating_sub(origin));
             }
         }
     }

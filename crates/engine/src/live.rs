@@ -6,100 +6,37 @@
 //! The simulator (`sim.rs`) answers *performance* questions with a
 //! controlled cost model; this runtime answers *functional* ones — it
 //! executes user operators for real, under real thread interleavings,
-//! with real backpressure. Both runtimes run the same sans-IO code:
-//! each instance routes, dispatches and holds tuples through the data
-//! plane of `instance.rs` (here in whole batches), runs the
-//! reconfiguration wave (SEND_RECONF → ACK → PROPAGATE → MIGRATE with
-//! tuple buffering) on the same `WaveParticipant`, and the wave driver
-//! runs the same `WaveCoordinator` (stage, gate, release, and
-//! roll-forward recovery). This module adds only the threads, channels
-//! and batching, and meets genuine concurrency instead of deterministic
-//! windows. "Servers" are placement tags: transfers between instances
-//! with different tags are counted as remote, so locality statistics
-//! remain meaningful even though everything runs in one process.
-//!
-//! Termination is by protocol: an exhausted (or stopped) source sends
-//! `Eos` to every successor instance; an operator instance sends an end
-//! marker to each sibling on its last predecessor `Eos`, and exits (its
-//! own `Eos` out) once it holds every `Eos` and marker (`operator_loop`)
-//! — so [`LiveRuntime::join`] returns exactly when the pipeline drained.
+//! with real backpressure. What an instance does is the sans-IO
+//! [`Instance`] actor of `instance.rs` (data plane, wave participant,
+//! end of stream), and the wave driver runs the same `WaveCoordinator`
+//! as the simulator (stage, gate, release, and roll-forward recovery).
+//! This module adds only the threads, the channels and the public API:
+//! each thread drives one actor ([`drive`]), and its [`Wire`] is the
+//! actor's outbox. "Servers" are placement tags: transfers between
+//! instances with different tags are counted as remote, so locality
+//! statistics remain meaningful even though everything runs in one
+//! process. A thread ends when its actor is done, by protocol, so
+//! [`LiveRuntime::join`] returns exactly when the pipeline drained.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 use crate::checkpoint::ClusterCheckpoint;
-use crate::fault::{ControlClass, ControlFate, FaultInjector, FaultPlan};
-use crate::instance::{ObserverSlots, OperatorCore, OutRoutes, PairObserver};
+use crate::fault::{ControlFate, FaultInjector, FaultPlan};
+use crate::instance::{CoordMsg, Instance, Msg, Outbox, PairObserver, Shared};
 use crate::key::Key;
-use crate::obs::{Counter, MetricsRegistry, SpanRecorder, SpanSampler};
+use crate::obs::{MetricsRegistry, SpanSampler};
 use crate::operator::StateValue;
 use crate::reconfig::{ReconfigError, ReconfigPlan, WaveConfig};
-use crate::router::{DestRun, KeyRouter};
+use crate::router::KeyRouter;
 use crate::sim::Placement;
-use crate::topology::{EdgeId, PoId, PoKind, PoSpec, PoiId, SourceRate, Topology, TupleSource};
-use crate::tuple::{tuple_run_len, Tuple};
-use crate::wave::{Hold, StagedReconf, WaveCoordinator, WaveParticipant, WaveSend};
-
-/// Messages on an instance's inbox. Data and control share one FIFO
-/// channel per receiver (like a TCP connection in Storm), so per-
-/// sender ordering guarantees hold for `Eos`.
-enum Msg {
-    /// A data tuple.
-    Data(Tuple),
-    /// A run of data tuples coalesced by the sender (one channel
-    /// message instead of `len()`); the receiver processes them in
-    /// order, so FIFO semantics are identical to `len()` `Data`s.
-    Batch(Vec<Tuple>),
-    /// ③ New configuration for this instance.
-    Reconf(StagedReconf),
-    /// ⑤ One predecessor instance (or the coordinator) has switched.
-    Propagate,
-    /// ⑥ Migrated state for a key this instance now owns.
-    Migrate {
-        key: Key,
-        state: Option<StateValue>,
-    },
-    /// End of stream from one predecessor instance.
-    Eos,
-    /// End marker from a sibling: it holds every predecessor `Eos`, so
-    /// it forwards nothing more to this instance.
-    SiblingEos,
-    /// Snapshot request: reply with a clone of the keyed state.
-    StateProbe(Sender<HashMap<Key, StateValue>>),
-    /// Wave recovery: apply the staged configuration *now*, without
-    /// the predecessor propagates still missing (a retry's release).
-    ForceApply,
-    /// Fault injection: the instance "crashes" — keyed state, queued
-    /// messages and any staged wave configuration are lost — then
-    /// respawns with the carried checkpoint state.
-    Crash {
-        restore: HashMap<Key, StateValue>,
-    },
-}
-
-/// Worker → coordinator notifications, tagged with the worker's global
-/// instance index so retries and duplicates never double count.
-enum CoordMsg {
-    /// ④ An instance staged its new configuration.
-    Ack(usize),
-    /// An instance applied its configuration and forwarded the wave.
-    Applied(usize),
-    /// An instance shut down (its `Eos` tokens are out).
-    Exited(usize),
-}
-
-/// Per-edge transfer counters shared with the caller.
-#[derive(Debug, Default)]
-struct EdgeCounters {
-    local: AtomicU64,
-    remote: AtomicU64,
-}
+use crate::topology::{EdgeId, PoId, PoiId, Topology};
+use crate::wave::{StagedReconf, WaveCoordinator, WaveSend};
 
 /// An instrumentation registration for the live runtime:
 /// `(operator, instance, out edge, observed field, observer)`.
@@ -115,24 +52,26 @@ pub struct LiveReconfig {
 }
 
 impl LiveReconfig {
-    /// This plan in global instance coordinates: instance `i` of
-    /// operator `po` is `poi_base[po] + i`.
-    fn to_plan(&self, poi_base: &[usize], parallelism: &[usize]) -> ReconfigPlan {
+    /// Every instance's ③ payload of this plan on `topology`.
+    fn staged(&self, topology: &Topology) -> Vec<StagedReconf> {
         let poi = |po: PoId, i: usize| {
-            let range = 0..parallelism[po.index()];
-            assert!(range.contains(&i), "migration instance out of range");
-            PoiId(poi_base[po.index()] + i)
+            let range = topology.instances(po);
+            assert!(i < range.len(), "migration instance out of range");
+            PoiId(range.start + i)
         };
         let routers = self.routers.iter().flat_map(|(po, edge, router)| {
-            (0..parallelism[po.index()]).map(move |i| (poi(*po, i), *edge, Arc::clone(router)))
+            topology
+                .instances(*po)
+                .map(move |i| (PoiId(i), *edge, Arc::clone(router)))
         });
         let migrations = self.migrations.iter();
-        ReconfigPlan {
+        let plan = ReconfigPlan {
             routers: routers.collect(),
             migrations: migrations
                 .map(|&(po, key, old, new)| (poi(po, old), key, poi(po, new)))
                 .collect(),
-        }
+        };
+        plan.split(&topology.instance_bases(), topology.total_instances())
     }
 }
 
@@ -160,6 +99,9 @@ pub struct InstanceReport {
 
 /// Bounded capacity of each instance inbox (backpressure).
 const INBOX_CAPACITY: usize = 8_192;
+
+/// Tuples a source generates per step.
+const STAGE: usize = 64;
 
 /// Runtime tuning knobs.
 #[derive(Debug, Clone)]
@@ -196,496 +138,6 @@ impl Default for LiveConfig {
             batch_size: 64,
             metrics: None,
             span_sampler: None,
-        }
-    }
-}
-
-/// Hot-path instruments shared by every worker. Without an attached
-/// registry they live in a private one that is never exported, so
-/// increments never branch.
-struct LiveHot {
-    tuples_routed: Counter,
-    tuples_remote: Counter,
-    migrations_sent: Counter,
-    migration_bytes: Counter,
-    batch_sends: Counter,
-    batch_tuples: Counter,
-    batch_control_flushes: Counter,
-    batch_drops: Counter,
-    batch_dropped_tuples: Counter,
-    buffered_tuples: Counter,
-    late_forwarded: Counter,
-    forward_lost: Counter,
-}
-
-impl LiveHot {
-    fn new(registry: Option<&MetricsRegistry>) -> Self {
-        let private = MetricsRegistry::new();
-        let reg = registry.unwrap_or(&private);
-        Self {
-            tuples_routed: reg.counter(
-                "live_tuples_routed_total",
-                "tuples sent on all edges by the live runtime",
-            ),
-            tuples_remote: reg.counter(
-                "live_tuples_remote_total",
-                "live tuples that crossed a server boundary",
-            ),
-            migrations_sent: reg.counter(
-                "live_migrations_total",
-                "key states shipped by live reconfiguration waves",
-            ),
-            migration_bytes: reg.counter(
-                "live_migration_bytes_total",
-                "bytes of key state shipped by live waves",
-            ),
-            batch_sends: reg.counter(
-                "live_batch_sends_total",
-                "coalesced Batch messages sent on the live data plane",
-            ),
-            batch_tuples: reg.counter(
-                "live_batch_tuples_total",
-                "tuples carried inside live Batch messages",
-            ),
-            batch_control_flushes: reg.counter(
-                "live_batch_control_flushes_total",
-                "send-buffer flushes forced by control-plane boundaries",
-            ),
-            batch_drops: reg.counter(
-                "live_batch_drops_total",
-                "Batch messages lost mid-flight to fault injection",
-            ),
-            batch_dropped_tuples: reg.counter(
-                "live_batch_dropped_tuples_total",
-                "tuples lost inside fault-dropped Batch messages",
-            ),
-            buffered_tuples: reg.counter(
-                "live_buffered_tuples_total",
-                "tuples buffered while their key's state was in flight",
-            ),
-            late_forwarded: reg.counter(
-                "live_late_forwarded_total",
-                "stragglers forwarded from old to new key owners",
-            ),
-            forward_lost: reg.counter(
-                "live_forward_lost_tuples_total",
-                "forwards whose new owner had exited (a tripwire: end markers keep it 0)",
-            ),
-        }
-    }
-}
-
-/// Everything workers share.
-struct WorkerShared {
-    inboxes: Vec<Sender<Msg>>,
-    server: Vec<usize>,
-    edges: Vec<EdgeCounters>,
-    stop: AtomicBool,
-    coord: Sender<CoordMsg>,
-    parallelism: Vec<usize>,
-    poi_base: Vec<usize>,
-    /// Fault injector consulted for every control message: ③/⑤ by the
-    /// wave driver, ⑥ by the sending worker.
-    fault: Mutex<Option<FaultInjector>>,
-    /// `true` when the installed fault plan schedules data-plane batch
-    /// drops. Gates the injector lock out of the batch send path: the
-    /// hot path pays one relaxed load, never a mutex, unless batch
-    /// faults are actually armed.
-    batch_faults: AtomicBool,
-    /// Data-plane batch size (≤ 1 disables batching).
-    batch_size: usize,
-    /// Hot-path observability counters (see [`LiveHot`]).
-    hot: LiveHot,
-    /// Span sampler (see [`LiveConfig::span_sampler`]); `None` keeps
-    /// every span branch on the hot path never-taken.
-    sampler: Option<SpanSampler>,
-    /// Registry span histograms are registered in (each worker owns a
-    /// [`SpanRecorder`]; idempotent registration shares the buckets).
-    span_metrics: Option<Arc<MetricsRegistry>>,
-    /// The runtime's monotonic clock epoch: all span timestamps are
-    /// nanoseconds since this instant, so they are comparable across
-    /// worker threads.
-    clock: Instant,
-    /// Routing epoch, bumped when a reconfiguration wave completes.
-    /// Workers read it (relaxed) when recording span observations, so
-    /// latency histograms are split before/after each wave.
-    epoch: AtomicU64,
-}
-
-impl WorkerShared {
-    /// What the injector (if armed) decides about one control message.
-    fn control_fate(&self, class: ControlClass) -> ControlFate {
-        self.fault
-            .lock()
-            .as_mut()
-            .map_or(ControlFate::Deliver, |inj| inj.on_control(class))
-    }
-}
-
-/// Nanoseconds since the runtime clock's epoch.
-fn span_now_ns(clock: &Instant) -> u64 {
-    clock.elapsed().as_nanos() as u64
-}
-
-/// Sends one coalesced batch, consulting the armed fault injector
-/// first: a dropped batch is lost on the wire with every tuple in it
-/// (at-most-once), accounted by the `live_batch_drop*` counters.
-fn send_batch(shared: &WorkerShared, dest_idx: usize, batch: Vec<Tuple>) {
-    shared.hot.batch_sends.inc();
-    shared.hot.batch_tuples.add(batch.len() as u64);
-    if shared.batch_faults.load(Ordering::Relaxed) {
-        let dropped = shared
-            .fault
-            .lock()
-            .as_mut()
-            .is_some_and(|inj| inj.on_batch_send());
-        if dropped {
-            shared.hot.batch_drops.inc();
-            shared.hot.batch_dropped_tuples.add(batch.len() as u64);
-            return;
-        }
-    }
-    let _ = shared.inboxes[dest_idx].send(Msg::Batch(batch));
-}
-
-/// Per-worker context: this instance's out edges, its send buffers,
-/// its side of the reconfiguration wave, and its span bookkeeping.
-struct WorkerCtx {
-    po_idx: usize,
-    my_idx: usize,
-    /// Global indices of every successor instance; `Propagate` and
-    /// `Eos` go to each.
-    successors: Vec<usize>,
-    /// The other instances of this operator if it is keyed (as for the
-    /// hold rule): they exchange end markers.
-    siblings: Vec<usize>,
-    /// This instance's side of the reconfiguration wave, including the
-    /// data plane's `pending` buffers and `departed` forwards.
-    wave: WaveParticipant<VecDeque<Tuple>>,
-    /// Where this instance's output goes (shared with the simulator).
-    routes: OutRoutes,
-    /// Per-destination send buffers (indexed by global instance), the
-    /// data-plane batching of `LiveConfig::batch_size`. Edge counters
-    /// and observers get bulk adds per routed batch, so locality
-    /// statistics do not depend on the batch size.
-    out_buf: Vec<Vec<Tuple>>,
-    batch: usize,
-    /// Scratch `(dest, len)` runs of one out edge.
-    run_buf: Vec<DestRun>,
-    /// Tuples processed (for a source: emitted).
-    processed: u64,
-    /// Span tracing: each worker owns a recorder (idempotent registry
-    /// registration shares the histograms across workers); `None` when
-    /// the sampler is off, so the hot path pays one never-taken branch.
-    span_rec: Option<SpanRecorder>,
-    /// Scratch `(hop_send_ns, remote, origin_ns)` stamps of the sampled
-    /// tuples one call processed.
-    sampled: Vec<(u64, bool, u64)>,
-}
-
-impl WorkerCtx {
-    fn new(
-        topology: &Topology,
-        placement: &Placement,
-        po: PoId,
-        instance: usize,
-        shared: &WorkerShared,
-    ) -> Self {
-        let my_idx = shared.poi_base[po.index()] + instance;
-        let keyed = topology.state_field(po).is_some();
-        let siblings = topology.instances(po).filter(|&i| keyed && i != my_idx);
-        Self {
-            po_idx: po.index(),
-            my_idx,
-            successors: topology.successor_instances(po),
-            siblings: siblings.collect(),
-            wave: WaveParticipant::new(topology.predecessor_instances(po)),
-            routes: OutRoutes::new(topology, placement, po, instance),
-            out_buf: vec![Vec::new(); shared.inboxes.len()],
-            batch: shared.batch_size,
-            run_buf: Vec::new(),
-            processed: 0,
-            span_rec: shared
-                .sampler
-                .map(|_| SpanRecorder::new(shared.span_metrics.clone())),
-            sampled: Vec::new(),
-        }
-    }
-
-    /// Flushes every non-empty send buffer. `control` marks flushes
-    /// forced by a control-plane boundary (counted separately); those
-    /// must happen *before* the control message is sent so per-sender
-    /// FIFO ordering — data routed under the old configuration arrives
-    /// ahead of `Propagate`/`Eos` — is preserved.
-    fn flush_outputs(&mut self, shared: &WorkerShared, control: bool) {
-        if self.batch <= 1 {
-            return;
-        }
-        let mut flushed = false;
-        for dest_idx in 0..self.out_buf.len() {
-            if self.out_buf[dest_idx].is_empty() {
-                continue;
-            }
-            let batch = std::mem::take(&mut self.out_buf[dest_idx]);
-            send_batch(shared, dest_idx, batch);
-            flushed = true;
-        }
-        if control && flushed {
-            shared.hot.batch_control_flushes.inc();
-        }
-    }
-
-    /// Drops buffered tuples (crash semantics: unsent output dies with
-    /// the instance, at-most-once).
-    fn discard_outputs(&mut self) {
-        for buf in &mut self.out_buf {
-            buf.clear();
-        }
-    }
-
-    /// The wave I/O (paper §3.4) around the shared [`WaveParticipant`],
-    /// for sources and operators. ③ `Reconf`: flush, stage, ack ④. When
-    /// a ⑤ `Propagate` or `ForceApply` applies the staged configuration:
-    /// flush, install the routers, ship ⑥ `Migrate` for every moved
-    /// key, forward ⑤ to every successor, report `Applied`. `StateProbe`
-    /// gets a snapshot of `state`, the operator's keyed state; a source
-    /// passes `None`, ships nothing and probes empty. Other messages are
-    /// ignored here.
-    fn on_control(
-        &mut self,
-        msg: Msg,
-        shared: &WorkerShared,
-        state: Option<&mut HashMap<Key, StateValue>>,
-    ) {
-        match msg {
-            Msg::Reconf(staged) => {
-                self.flush_outputs(shared, true);
-                self.wave.stage(staged);
-                let _ = shared.coord.send(CoordMsg::Ack(self.my_idx));
-            }
-            m @ (Msg::Propagate | Msg::ForceApply) => {
-                let Some(applied) = self.wave.propagate(matches!(m, Msg::ForceApply)) else {
-                    return;
-                };
-                // Flush before switching tables and forwarding the
-                // wave: buffered tuples were routed under the old
-                // configuration and must stay ahead of the `Propagate`s
-                // in every channel.
-                self.flush_outputs(shared, true);
-                // A router on anything but a fields out edge is ignored.
-                for (edge, router) in applied.routers {
-                    self.routes.set_router(edge, router);
-                }
-                if let Some(state) = state {
-                    for (key, dest) in applied.send {
-                        let moved = state.remove(&key);
-                        // A dropped ⑥ loses the moved state (at-most-
-                        // once); the new owner adopts the key with
-                        // fresh state when it exits.
-                        if matches!(shared.control_fate(ControlClass::Migrate), ControlFate::Drop) {
-                            continue;
-                        }
-                        shared.hot.migrations_sent.inc();
-                        shared
-                            .hot
-                            .migration_bytes
-                            .add(moved.as_ref().map_or(0, StateValue::size_bytes));
-                        let msg = Msg::Migrate { key, state: moved };
-                        let _ = shared.inboxes[dest.index()].send(msg);
-                    }
-                }
-                for &succ in &self.successors {
-                    let _ = shared.inboxes[succ].send(Msg::Propagate);
-                }
-                let _ = shared.coord.send(CoordMsg::Applied(self.my_idx));
-            }
-            Msg::StateProbe(reply) => {
-                // Checkpoint boundary: buffered output is handed off
-                // before the state snapshot is taken.
-                self.flush_outputs(shared, true);
-                let _ = reply.send(state.map_or_else(HashMap::new, |state| state.clone()));
-            }
-            _ => {}
-        }
-    }
-
-    /// Shuts this instance down: the last partial batches precede its
-    /// `Eos` tokens in every successor channel (per-sender FIFO), then
-    /// the coordinator learns it exited. Returns the final report.
-    fn exit(mut self, shared: &WorkerShared, state: HashMap<Key, StateValue>) -> InstanceReport {
-        self.flush_outputs(shared, true);
-        for &succ in &self.successors {
-            let _ = shared.inboxes[succ].send(Msg::Eos);
-        }
-        let _ = shared.coord.send(CoordMsg::Exited(self.my_idx));
-        InstanceReport {
-            po: PoId(self.po_idx),
-            instance: self.my_idx - shared.poi_base[self.po_idx],
-            state,
-            processed: self.processed,
-        }
-    }
-
-    /// Sends `tuples` down every out edge of this instance. Each edge
-    /// turns the batch into `(dest, len)` runs by the shared
-    /// [`OutRoutes::route`], and each run is appended to its
-    /// destination's send buffer. Edge and hot counters get one relaxed
-    /// add per edge per batch instead of one contended RMW per tuple.
-    /// Edges are routed one after another, so a tuple's copies on
-    /// different edges are not interleaved; per-destination order (all
-    /// FIFO guarantees rely on) is kept.
-    fn route_out_batch(&mut self, shared: &WorkerShared, tuples: &mut [Tuple]) {
-        if tuples.is_empty() || self.routes.is_empty() {
-            return;
-        }
-        let my_server = shared.server[self.my_idx];
-        // One clock read per batch covers every span hop stamp in it;
-        // sampler off ⇒ the stamping pass is skipped.
-        let hop_now = shared.sampler.as_ref().map(|_| span_now_ns(&shared.clock));
-        let mut runs = std::mem::take(&mut self.run_buf);
-        for pos in 0..self.routes.len() {
-            let edge = self.routes.route(pos, tuples, &mut runs);
-            let (mut local, mut remote) = (0u64, 0u64);
-            let mut offset = 0usize;
-            for run in &runs {
-                let len = run.len as usize;
-                let dest_idx = run.dest as usize;
-                let remote_hop = shared.server[dest_idx] != my_server;
-                if remote_hop {
-                    remote += u64::from(run.len);
-                } else {
-                    local += u64::from(run.len);
-                }
-                if let Some(now) = hop_now {
-                    // One predictable branch per tuple: at 1/64 sampling
-                    // the stamp is almost never taken, and the plain
-                    // pass beats re-detecting key runs just to share it.
-                    for t in &mut tuples[offset..offset + len] {
-                        if t.is_span_sampled() {
-                            t.set_span_hop(now, remote_hop);
-                        }
-                    }
-                }
-                let mut rest = &tuples[offset..offset + len];
-                offset += len;
-                if self.batch <= 1 {
-                    for &tuple in rest {
-                        let _ = shared.inboxes[dest_idx].send(Msg::Data(tuple));
-                    }
-                    continue;
-                }
-                // Append the run in chunks sized to the remaining
-                // buffer room, so every batch leaves exactly full.
-                while !rest.is_empty() {
-                    let buf = &mut self.out_buf[dest_idx];
-                    let take = rest.len().min(self.batch - buf.len());
-                    buf.extend_from_slice(&rest[..take]);
-                    rest = &rest[take..];
-                    if buf.len() >= self.batch {
-                        let batch = std::mem::replace(buf, Vec::with_capacity(self.batch));
-                        send_batch(shared, dest_idx, batch);
-                    }
-                }
-            }
-
-            let counters = &shared.edges[edge.index()];
-            if local > 0 {
-                counters.local.fetch_add(local, Ordering::Relaxed);
-            }
-            if remote > 0 {
-                counters.remote.fetch_add(remote, Ordering::Relaxed);
-                shared.hot.tuples_remote.add(remote);
-            }
-        }
-        self.run_buf = runs;
-        let routed = tuples.len() * self.routes.len();
-        shared.hot.tuples_routed.add(routed as u64);
-    }
-
-    /// The processing routine. Every tuple goes through it: a
-    /// `Msg::Data` as a one-tuple slice, a `Msg::Batch` whole, and the
-    /// buffered tuples released by `Migrate` or adopted at shutdown.
-    ///
-    /// Walks `tuples` in runs of equal state key and applies the
-    /// wave's hold rule to each. A buffered run waits in its `pending`
-    /// buffer; a departed run is forwarded to the new owner as one
-    /// `Msg::Batch` (straight to its inbox: no batch counters, no batch
-    /// fault gate); an owned run goes through the core's dispatch. The
-    /// call's output is routed once at the end. Span hops are recorded
-    /// for the processed tuples only — a buffered or forwarded tuple
-    /// records its hop when it is finally processed.
-    fn process(&mut self, core: &mut OperatorCore, tuples: &[Tuple], shared: &WorkerShared) {
-        let arrive = match self.span_rec {
-            Some(_) if tuples.iter().any(|t| t.span_hop().is_some()) => {
-                Some(span_now_ns(&shared.clock))
-            }
-            _ => None,
-        };
-        self.sampled.clear();
-        core.emitted.clear();
-        let mut rest = tuples;
-        while !rest.is_empty() {
-            // Without a routed input field there is no per-key state:
-            // one dispatch covers the whole call.
-            let (key, len) = match core.state_field {
-                Some(f) => (Some(rest[0].key(f)), tuple_run_len(rest, f)),
-                None => (None, rest.len()),
-            };
-            let (run, tail) = rest.split_at(len);
-            rest = tail;
-            let n = len as u64;
-            if let Some(key) = key {
-                match self.wave.hold(key, run.iter().copied()) {
-                    Hold::Owned => {}
-                    Hold::Buffered { .. } => {
-                        shared.hot.buffered_tuples.add(n);
-                        continue;
-                    }
-                    Hold::Departed(owner) => {
-                        shared.hot.late_forwarded.add(n);
-                        let forward = Msg::Batch(run.to_vec());
-                        if shared.inboxes[owner.index()].send(forward).is_err() {
-                            shared.hot.forward_lost.add(n);
-                        }
-                        continue;
-                    }
-                }
-            }
-            core.dispatch(run, key);
-            self.processed += n;
-            if arrive.is_some() {
-                self.sampled.extend(run.iter().filter_map(|t| {
-                    t.span_hop()
-                        .map(|(sent, remote)| (sent, remote, t.span_origin_ns()))
-                }));
-            }
-        }
-        let mut out = std::mem::take(&mut core.emitted);
-        self.route_out_batch(shared, &mut out);
-        core.emitted = out;
-
-        // Queue wait is per sender stamp; processing time is an equal
-        // share of the call, which has no per-tuple boundary to time.
-        let (Some(rec), Some(arrive)) = (self.span_rec.as_mut(), arrive) else {
-            return;
-        };
-        if self.sampled.is_empty() {
-            return;
-        }
-        let done = span_now_ns(&shared.clock);
-        let per_tuple = done.saturating_sub(arrive) / tuples.len() as u64;
-        let epoch = shared.epoch.load(Ordering::Relaxed);
-        for &(sent, remote, origin) in &self.sampled {
-            rec.record_hop(
-                self.po_idx,
-                epoch,
-                remote,
-                arrive.saturating_sub(sent),
-                per_tuple,
-            );
-            if self.routes.is_empty() {
-                rec.record_end(self.po_idx, epoch, done.saturating_sub(origin));
-            }
         }
     }
 }
@@ -729,11 +181,11 @@ impl WorkerCtx {
 /// # Ok::<(), streamloc_engine::BuildTopologyError>(())
 /// ```
 pub struct LiveRuntime {
-    shared: Arc<WorkerShared>,
+    topology: Topology,
+    shared: Arc<Shared>,
+    inboxes: Arc<[Sender<Msg>]>,
     handles: Vec<JoinHandle<InstanceReport>>,
     coord_rx: Receiver<CoordMsg>,
-    roots: Vec<usize>,
-    n_instances: usize,
     last_checkpoint: Option<ClusterCheckpoint>,
     checkpoint_seq: u64,
 }
@@ -741,7 +193,7 @@ pub struct LiveRuntime {
 impl std::fmt::Debug for LiveRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveRuntime")
-            .field("instances", &self.n_instances)
+            .field("instances", &self.inboxes.len())
             .finish_non_exhaustive()
     }
 }
@@ -786,78 +238,29 @@ impl LiveRuntime {
         observers: Vec<LiveObserver>,
     ) -> Self {
         assert!(servers > 0, "at least one server tag");
-        let n_instances = topology.total_instances();
-
-        let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..n_instances)
+        let shared = Arc::new(Shared::new(&topology, &placement, &config));
+        let in_range = shared.server.iter().all(|&s| s < servers);
+        assert!(in_range, "placement server out of range");
+        let instances = Instance::all(&topology, &placement, &shared, observers);
+        let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..instances.len())
             .map(|_| bounded::<Msg>(INBOX_CAPACITY))
             .unzip();
-        let server: Vec<usize> = placement.per_po.iter().flatten().map(|s| s.0).collect();
-        let in_range = server.iter().all(|&s| s < servers);
-        assert!(in_range, "placement server out of range");
-        // Bounded: per wave attempt a worker sends at most one Ack and
-        // one Applied, plus one lifetime Exited; with the default retry
-        // budget this capacity is never reached, so workers never block
-        // on coordinator notifications.
-        let (coord_tx, coord_rx) = bounded(8 * n_instances + 16);
-
-        let shared = Arc::new(WorkerShared {
-            inboxes,
-            server,
-            edges: (0..topology.edges().len())
-                .map(|_| EdgeCounters::default())
-                .collect(),
-            stop: AtomicBool::new(false),
-            coord: coord_tx,
-            parallelism: topology.pos.iter().map(PoSpec::parallelism).collect(),
-            poi_base: topology.instance_bases(),
-            fault: Mutex::new(None),
-            batch_faults: AtomicBool::new(false),
-            batch_size: config.batch_size,
-            hot: LiveHot::new(config.metrics.as_deref()),
-            sampler: config.span_sampler,
-            span_metrics: config.metrics.clone(),
-            clock: Instant::now(),
-            epoch: AtomicU64::new(0),
+        let inboxes: Arc<[Sender<Msg>]> = inboxes.into();
+        // Bounded: per wave attempt an instance sends at most one Ack
+        // and one Applied, plus one lifetime Exited; with the default
+        // retry budget this capacity is never reached, so instances
+        // never block on coordinator notifications.
+        let (coord, coord_rx) = bounded(8 * instances.len() + 16);
+        let handles = instances.into_iter().zip(receivers).map(|(instance, rx)| {
+            let (inboxes, coord) = (Arc::clone(&inboxes), coord.clone());
+            std::thread::spawn(move || drive(instance, &rx, Wire { inboxes, coord }))
         });
-
-        let mut observer_slots: Vec<ObserverSlots> =
-            (0..n_instances).map(|_| ObserverSlots::default()).collect();
-        for (po, instance, edge, field, obs) in observers {
-            let instances = topology.instances(po);
-            assert!(instance < instances.len(), "observer on a missing instance");
-            let out_edges = topology.out_edges(po).iter().copied();
-            observer_slots[instances.start + instance].add(out_edges, edge, field, obs);
-        }
-
-        let mut receivers = receivers.into_iter();
-        let mut handles = Vec::with_capacity(n_instances);
-        for (po_idx, po) in topology.pos.iter().enumerate() {
-            let po_id = PoId(po_idx);
-            for instance in 0..po.parallelism {
-                let shared = Arc::clone(&shared);
-                let rx = receivers.next().expect("one inbox per instance");
-                let ctx = WorkerCtx::new(&topology, &placement, po_id, instance, &shared);
-                handles.push(match &po.kind {
-                    PoKind::Source { factory, rate } => {
-                        let (gen, rate) = (factory(instance), *rate);
-                        std::thread::spawn(move || source_loop(ctx, gen, rate, shared, rx))
-                    }
-                    PoKind::Operator { factory, stateful } => {
-                        let state_field = topology.state_field(po_id);
-                        let mut core = OperatorCore::new(factory(instance), *stateful, state_field);
-                        core.observers = std::mem::take(&mut observer_slots[ctx.my_idx]);
-                        std::thread::spawn(move || operator_loop(ctx, core, shared, rx))
-                    }
-                });
-            }
-        }
-
         Self {
+            handles: handles.collect(),
             shared,
-            handles,
+            inboxes,
             coord_rx,
-            roots: topology.root_instances(),
-            n_instances,
+            topology,
             last_checkpoint: None,
             checkpoint_seq: 0,
         }
@@ -866,7 +269,7 @@ impl LiveRuntime {
     /// Number of instance threads.
     #[must_use]
     pub fn instances(&self) -> usize {
-        self.n_instances
+        self.inboxes.len()
     }
 
     /// Locality of `edge` so far: local transfers / all transfers
@@ -890,11 +293,13 @@ impl LiveRuntime {
     /// Snapshot of one instance's keyed state (blocks briefly).
     #[must_use]
     pub fn probe_state(&self, po: PoId, instance: usize) -> Option<HashMap<Key, StateValue>> {
-        let idx = self.shared.poi_base[po.index()] + instance;
+        self.probe(self.topology.instances(po).start + instance)
+    }
+
+    /// Snapshot of global instance `idx`; `None` once it exited.
+    fn probe(&self, idx: usize) -> Option<HashMap<Key, StateValue>> {
         let (tx, rx) = bounded(1);
-        if self.shared.inboxes[idx].send(Msg::StateProbe(tx)).is_err() {
-            return None;
-        }
+        self.inboxes[idx].send(Msg::StateProbe(tx)).ok()?;
         rx.recv().ok()
     }
 
@@ -952,10 +357,8 @@ impl LiveRuntime {
         wave: WaveConfig,
     ) -> Result<(), ReconfigError> {
         let shared = &*self.shared;
-        let staged = plan
-            .to_plan(&shared.poi_base, &shared.parallelism)
-            .split(&shared.poi_base, self.n_instances);
-        let mut coord = WaveCoordinator::new(staged, self.roots.clone(), wave);
+        let staged = plan.staged(&self.topology);
+        let mut coord = WaveCoordinator::new(staged, self.topology.root_instances(), wave);
         // Discard coordinator leftovers of earlier waves; exits are
         // permanent and kept.
         while let Ok(msg) = self.coord_rx.try_recv() {
@@ -967,29 +370,23 @@ impl LiveRuntime {
         let clock = Instant::now();
         coord.start(0);
         // Delay-injected messages, held until their due time.
-        let mut timers: Vec<(Instant, usize, Msg)> = Vec::new();
+        let mut timers: Vec<(Instant, WaveSend)> = Vec::new();
         let outcome = loop {
             // A delayed message aimed at a settled instance is stale.
             let now = Instant::now();
-            for (_, idx, msg) in timers.extract_if(.., |t| t.0 <= now) {
-                if !coord.settled(idx) {
-                    deliver(shared, &mut coord, idx, msg);
+            for (_, send) in timers.extract_if(.., |t| t.0 <= now) {
+                if !coord.settled(send.to()) {
+                    self.deliver(&mut coord, send);
                 }
             }
             let sends = coord.take_sends();
             let sent = !sends.is_empty();
             for send in sends {
                 let class = send.class();
-                let fate = class.map_or(ControlFate::Deliver, |c| shared.control_fate(c));
-                let (idx, msg) = match send {
-                    WaveSend::Reconf(i, s) => (i, Msg::Reconf(s)),
-                    WaveSend::Propagate(i) => (i, Msg::Propagate),
-                    WaveSend::ForceApply(i) => (i, Msg::ForceApply),
-                };
-                match fate {
-                    ControlFate::Deliver => deliver(shared, &mut coord, idx, msg),
+                match class.map_or(ControlFate::Deliver, |c| shared.control_fate(c)) {
+                    ControlFate::Deliver => self.deliver(&mut coord, send),
                     ControlFate::Drop => {}
-                    ControlFate::Delay(d) => timers.push((now + windows(d.max(1)), idx, msg)),
+                    ControlFate::Delay(d) => timers.push((now + windows(d.max(1)), send)),
                 }
             }
             if let Some(outcome) = coord.outcome() {
@@ -1022,6 +419,15 @@ impl LiveRuntime {
         outcome
     }
 
+    /// Delivers a wave message now. A failed send marks the target
+    /// exited, so the wave never waits on a dead instance.
+    fn deliver(&self, coord: &mut WaveCoordinator, send: WaveSend) {
+        let idx = send.to();
+        if self.inboxes[idx].send(Msg::Wave(send)).is_err() {
+            coord.exited(idx);
+        }
+    }
+
     /// Arms fault injection: [`DropControl`] / [`DelayControl`] events
     /// fire against the control messages of subsequent waves (③/⑤ at
     /// the wave driver, ⑥ at the sending worker). `CrashPoi` and
@@ -1047,17 +453,13 @@ impl LiveRuntime {
     /// respawned live instance re-fetches the *current* tables from
     /// the manager, not the checkpoint's.
     pub fn checkpoint_now(&mut self) -> ClusterCheckpoint {
-        let mut states = Vec::with_capacity(self.n_instances);
-        for po_idx in 0..self.shared.parallelism.len() {
-            for i in 0..self.shared.parallelism[po_idx] {
-                states.push(self.probe_state(PoId(po_idx), i).unwrap_or_default());
-            }
-        }
+        let probes = (0..self.inboxes.len()).map(|idx| self.probe(idx).unwrap_or_default());
+        let states = probes.collect();
         self.checkpoint_seq += 1;
         let cp = ClusterCheckpoint {
             window_index: self.checkpoint_seq,
             states,
-            routers: vec![Vec::new(); self.n_instances],
+            routers: vec![Vec::new(); self.inboxes.len()],
         };
         self.last_checkpoint = Some(cp.clone());
         cp
@@ -1078,20 +480,23 @@ impl LiveRuntime {
     /// state updates since the checkpoint and queued tuples are gone.
     ///
     /// Keys a sibling holds (moved there since the checkpoint) are not
-    /// restored: the simulator's held-elsewhere rule, by probe. A crash
+    /// restored: the simulator's held-elsewhere rule, by probe. A
+    /// source restores nothing, so its siblings are not probed. A crash
     /// mid-wave can still restore a key whose ⑥ is in flight.
     pub fn crash_instance(&self, po: PoId, instance: usize) {
-        let idx = self.shared.poi_base[po.index()] + instance;
-        let mut restore = self
-            .last_checkpoint
-            .as_ref()
-            .and_then(|cp| cp.states.get(idx).cloned())
-            .unwrap_or_default();
-        let siblings = (0..self.shared.parallelism[po.index()]).filter(|&i| i != instance);
-        for held in siblings.filter_map(|i| self.probe_state(po, i)) {
-            restore.retain(|key, _| !held.contains_key(key));
+        let idx = self.topology.instances(po).start + instance;
+        let mut restore = HashMap::new();
+        if !self.topology.po(po).is_source() {
+            let checkpoint = self.last_checkpoint.as_ref();
+            restore = checkpoint
+                .and_then(|cp| cp.states.get(idx).cloned())
+                .unwrap_or_default();
+            let siblings = self.topology.instances(po).filter(|&i| i != idx);
+            for held in siblings.filter_map(|i| self.probe(i)) {
+                restore.retain(|key, _| !held.contains_key(key));
+            }
         }
-        let _ = self.shared.inboxes[idx].send(Msg::Crash { restore });
+        let _ = self.inboxes[idx].send(Msg::Crash { restore });
     }
 
     /// Asks saturating sources to stop; finite sources stop on their
@@ -1120,167 +525,53 @@ impl LiveRuntime {
     }
 }
 
-/// Delivers a wave message now. A failed send marks the target exited,
-/// so the wave never waits on a dead instance.
-fn deliver(shared: &WorkerShared, coord: &mut WaveCoordinator, idx: usize, msg: Msg) {
-    if shared.inboxes[idx].send(msg).is_err() {
-        coord.exited(idx);
+/// A thread's outbox: every instance inbox and the coordinator channel.
+/// A send fails once the receiving thread has exited.
+struct Wire {
+    inboxes: Arc<[Sender<Msg>]>,
+    coord: Sender<CoordMsg>,
+}
+
+impl Outbox for Wire {
+    fn send(&mut self, dest: usize, msg: Msg) -> bool {
+        self.inboxes[dest].send(msg).is_ok()
+    }
+
+    fn notify(&mut self, note: CoordMsg) {
+        let _ = self.coord.send(note);
     }
 }
 
-fn source_loop(
-    mut ctx: WorkerCtx,
-    mut gen: Box<dyn TupleSource>,
-    rate: SourceRate,
-    shared: Arc<WorkerShared>,
-    rx: Receiver<Msg>,
-) -> InstanceReport {
-    let mut stage: Vec<Tuple> = Vec::with_capacity(64);
-    let mut down = false;
-    let batch_sleep = match rate {
-        SourceRate::Saturate => None,
-        SourceRate::PerSecond(r) => Some(Duration::from_secs_f64(64.0 / r.max(1.0))),
-    };
-    loop {
-        // Participate in the control plane between batches.
-        while let Ok(msg) = rx.try_recv() {
-            match msg {
-                // A crashed source stays down: restarting the
-                // generator would replay its whole stream.
-                Msg::Crash { .. } => {
-                    ctx.discard_outputs();
-                    down = true;
-                }
-                msg => ctx.on_control(msg, &shared, None),
+/// The thread driver, for sources and operators alike: drains the
+/// inbox into [`Instance::on_msg`] until the actor is done. With the
+/// inbox empty, a source pulls its next stage once it is due — a paced
+/// source's tuple `k` at `k / rate` after it started, so the time spent
+/// generating and routing does not slow it down — and otherwise the
+/// actor goes idle (its partial batches leave) and the thread blocks
+/// until a message arrives or the next stage is due.
+fn drive(mut instance: Instance, rx: &Receiver<Msg>, mut out: Wire) -> InstanceReport {
+    let start = Instant::now();
+    while !instance.done() {
+        let due = instance.pull_due().map(|d| start + d);
+        let msg = rx.try_recv().ok().or_else(|| {
+            if due.is_some_and(|due| due <= Instant::now()) {
+                return None;
             }
-        }
-        if down || shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        // Stage up to one batch of generated tuples, then route them
-        // as a column: the batch-first data plane begins at the source.
-        stage.clear();
-        stage.extend(std::iter::from_fn(|| gen.next_tuple()).take(64));
-        let exhausted = stage.len() < 64;
-        ctx.processed += stage.len() as u64;
-        // Span origin: sampled tuples get their birth timestamp here,
-        // once, before entering the data plane. Sampling is decided on
-        // the field the (first) fields-grouped out edge routes on.
-        if let Some(sampler) = &shared.sampler {
-            if let Some(field) = ctx.routes.span_field() {
-                sampler.stamp_batch(&mut stage, field, span_now_ns(&shared.clock));
+            instance.idle(&mut out);
+            match due {
+                Some(due) => rx
+                    .recv_timeout(due.saturating_duration_since(Instant::now()))
+                    .ok(),
+                // `out` keeps this inbox open: the receive cannot fail.
+                None => rx.recv().ok(),
             }
-        }
-        ctx.route_out_batch(&shared, &mut stage);
-        if exhausted {
-            break;
-        }
-        if let Some(d) = batch_sleep {
-            // A rate-limited source is about to idle: hand off what it
-            // has so downstream latency stays bounded by the rate, not
-            // by the batch size.
-            ctx.flush_outputs(&shared, false);
-            std::thread::sleep(d);
-        }
-    }
-    // Serve any control messages already queued (common race: a wave
-    // started just as the stream ran dry), then announce the exit.
-    while let Ok(msg) = rx.try_recv() {
-        ctx.on_control(msg, &shared, None);
-    }
-    ctx.exit(&shared, HashMap::new())
-}
-
-/// An operator instance's loop. It exits by one rule, with no timer:
-/// once it holds every predecessor `Eos` and every sibling's
-/// `SiblingEos`, which a sibling sends on its own last predecessor
-/// `Eos`. Nothing can then still be on its way in:
-///
-/// * a sibling forwards only while it processes predecessor input,
-///   which ends with that `Eos`, and a forward goes straight to the
-///   owner's inbox: per-sender FIFO puts it ahead of the marker;
-/// * a ⑥ shipped on ⑤ is ahead of the marker too, as ⑤ precedes `Eos`
-///   (live ⑥s are never delayed); it also precedes its shipper's
-///   `Applied`, so it is queued ahead of the next wave's ③;
-/// * a marker waits only on `Eos`, never on a sibling exiting: no wait
-///   cycle.
-///
-/// So a key still pending at exit lost its ⑥: it is adopted with fresh
-/// state (at-most-once). Open: a ⑥ force-applied, or a forward
-/// forwarded on (a key two waves moved), after the sender's marker can
-/// reach an exited owner.
-fn operator_loop(
-    mut ctx: WorkerCtx,
-    mut core: OperatorCore,
-    shared: Arc<WorkerShared>,
-    rx: Receiver<Msg>,
-) -> InstanceReport {
-    let (mut eos_seen, mut markers_seen) = (0usize, 0usize);
-    loop {
-        // Drain the inbox opportunistically; only once it runs dry are
-        // the send buffers flushed and the thread allowed to block —
-        // so batches fill under load but never sit on an idle worker.
-        let msg = rx.try_recv().or_else(|_| {
-            ctx.flush_outputs(&shared, false);
-            rx.recv()
         });
-        let Ok(msg) = msg else { break };
-        let eos_before = eos_seen;
         match msg {
-            Msg::Data(tuple) => ctx.process(&mut core, std::slice::from_ref(&tuple), &shared),
-            Msg::Batch(tuples) => ctx.process(&mut core, &tuples, &shared),
-            Msg::Migrate { key, state: moved } => {
-                if let Some(moved) = moved {
-                    core.state.insert(key, moved);
-                }
-                if let Some(mut buffered) = ctx.wave.pending.remove(&key) {
-                    ctx.process(&mut core, buffered.make_contiguous(), &shared);
-                }
-            }
-            Msg::Eos => eos_seen += 1,
-            Msg::SiblingEos => markers_seen += 1,
-            Msg::Crash { restore } => {
-                // Everything volatile is lost; respawn from the
-                // checkpoint the coordinator carried over.
-                ctx.discard_outputs();
-                core.state = restore;
-                ctx.wave.reset();
-                // Queued messages die with the instance — except the
-                // stream-lifecycle `Eos` tokens and sibling markers (a
-                // respawned instance still knows who finished) and
-                // state probes, which must always be answered.
-                while let Ok(m) = rx.try_recv() {
-                    match m {
-                        Msg::Eos => eos_seen += 1,
-                        Msg::SiblingEos => markers_seen += 1,
-                        Msg::StateProbe(reply) => {
-                            let _ = reply.send(core.state.clone());
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            msg => ctx.on_control(msg, &shared, Some(&mut core.state)),
-        }
-        // The last predecessor `Eos` ends this instance's forwards.
-        if eos_before < ctx.wave.preds && eos_seen >= ctx.wave.preds {
-            for &sibling in &ctx.siblings {
-                let _ = shared.inboxes[sibling].send(Msg::SiblingEos);
-            }
-        }
-        if eos_seen >= ctx.wave.preds && markers_seen >= ctx.siblings.len() {
-            break;
+            Some(msg) => instance.on_msg(msg, &mut out),
+            None => instance.pull(STAGE, &mut out),
         }
     }
-    // Adopt keys still buffered for a `Migrate` that never came (lost
-    // transfer): their state starts fresh — at-most-once — but no
-    // tuple is silently discarded.
-    let mut orphans: Vec<_> = ctx.wave.pending.drain().collect();
-    orphans.sort_unstable_by_key(|(key, _)| *key);
-    for (_, mut buffered) in orphans {
-        ctx.process(&mut core, buffered.make_contiguous(), &shared);
-    }
-    ctx.exit(&shared, core.state)
+    instance.finish(&mut out)
 }
 
 #[cfg(test)]
@@ -1288,7 +579,9 @@ mod tests {
     use super::*;
     use crate::operator::{CountOperator, IdentityOperator};
     use crate::router::{HashRouter, ModuloRouter};
-    use crate::topology::{Grouping, Topology};
+    use crate::topology::{Grouping, SourceRate, Topology};
+    use crate::tuple::Tuple;
+    use parking_lot::Mutex;
 
     /// n sources emitting `total/n` tuples each of (c % keys, c % keys).
     fn chain(n: usize, keys: u64, total: u64) -> Topology {
@@ -1493,7 +786,10 @@ mod tests {
             .filter(|(_, snap)| snap.total > 0)
             .filter_map(|(name, _)| SpanMetricName::parse(name))
             .collect();
-        assert!(!span_names.is_empty(), "sampled run must populate span histograms");
+        assert!(
+            !span_names.is_empty(),
+            "sampled run must populate span histograms"
+        );
         for phase in [SpanPhase::Queue, SpanPhase::Proc, SpanPhase::EndToEnd] {
             assert!(
                 span_names.iter().any(|nm| nm.phase == phase),
@@ -1778,16 +1074,21 @@ mod tests {
         })
     }
 
-    /// S → A → B with [`ModuloRouter`] on both fields-grouped hops.
-    fn modulo_chain(streams: &Streams) -> Topology {
+    /// S → A → B with [`ModuloRouter`] on S → A and `hop` on A → B.
+    fn chain_with(streams: &Streams, hop: Arc<dyn KeyRouter>) -> Topology {
         let n = streams.len();
         let mut b = Topology::builder();
         let s = replay_source(&mut b, streams);
         let a = b.stateful("A", n, CountOperator::factory());
         let bb = b.stateful("B", n, CountOperator::factory());
         b.connect(s, a, Grouping::fields_with(0, Arc::new(ModuloRouter)));
-        b.connect(a, bb, Grouping::fields_with(1, Arc::new(ModuloRouter)));
+        b.connect(a, bb, Grouping::fields_with(1, hop));
         b.build().unwrap()
+    }
+
+    /// S → A → B with [`ModuloRouter`] on both fields-grouped hops.
+    fn modulo_chain(streams: &Streams) -> Topology {
+        chain_with(streams, Arc::new(ModuloRouter))
     }
 
     /// The fingerprint [`modulo_chain`] must produce, computed
@@ -1838,7 +1139,10 @@ mod tests {
         // hops on both edges.
         let streams = pair_streams(3, 13, 30_000);
         let reference = reference_fingerprint(&streams, 2);
-        assert!(reference.1.iter().all(|&(local, remote)| local > 0 && remote > 0));
+        assert!(reference
+            .1
+            .iter()
+            .all(|&(local, remote)| local > 0 && remote > 0));
         for batch_size in [1, 2, 64, 1024] {
             let live = run_fingerprint(
                 modulo_chain(&streams),
@@ -1892,7 +1196,11 @@ mod tests {
             assert_eq!(counts_of(&reports, a), want_a, "batch_size={batch_size}");
             assert_eq!(counts_of(&reports, c), want_c, "batch_size={batch_size}");
             for po in [i, d] {
-                let processed: u64 = reports.iter().filter(|r| r.po == po).map(|r| r.processed).sum();
+                let processed: u64 = reports
+                    .iter()
+                    .filter(|r| r.po == po)
+                    .map(|r| r.processed)
+                    .sum();
                 assert_eq!(processed, total, "batch_size={batch_size}, {po:?}");
             }
             let totals = |e: EdgeId| {
@@ -1905,7 +1213,11 @@ mod tests {
             let (sl, sr) = totals(shuffle);
             assert_eq!(sl + sr, total);
             assert!(sr > 0, "round-robin shuffle must spread across servers");
-            assert_eq!(totals(local), (total, 0), "local-or-shuffle must stay local");
+            assert_eq!(
+                totals(local),
+                (total, 0),
+                "local-or-shuffle must stay local"
+            );
         }
     }
 
@@ -1950,10 +1262,15 @@ mod tests {
         let (topo, placement) = build();
         let cluster = ClusterSpec::lan_10g(servers);
         let mut sim = Simulation::new(topo, cluster, placement, SimConfig::default());
-        assert!(sim.run_until_drained(10_000) < 10_000, "simulator never drained");
+        assert!(
+            sim.run_until_drained(10_000) < 10_000,
+            "simulator never drained"
+        );
         let windows = sim.metrics().windows();
         let operators = n..5 * n;
-        let sim_states: Vec<_> = (0..5 * n).map(|i| sorted(sim.poi_state(PoiId(i)))).collect();
+        let sim_states: Vec<_> = (0..5 * n)
+            .map(|i| sorted(sim.poi_state(PoiId(i))))
+            .collect();
         let sim_processed: Vec<u64> = operators
             .clone()
             .map(|i| windows.iter().map(|w| w.poi_processed[i]).sum())
@@ -1974,7 +1291,12 @@ mod tests {
         let live_edges: Vec<(u64, u64)> = shared
             .edges
             .iter()
-            .map(|e| (e.local.load(Ordering::Relaxed), e.remote.load(Ordering::Relaxed)))
+            .map(|e| {
+                (
+                    e.local.load(Ordering::Relaxed),
+                    e.remote.load(Ordering::Relaxed),
+                )
+            })
             .collect();
 
         assert_eq!(live_states, sim_states, "per-instance keyed state");
@@ -2025,10 +1347,24 @@ mod tests {
             migrations,
         });
         let reports = rt.join();
-        let sum = |po: PoId| -> u64 { reports.iter().filter(|r| r.po == po).map(|r| r.processed).sum() };
+        let sum = |po: PoId| -> u64 {
+            reports
+                .iter()
+                .filter(|r| r.po == po)
+                .map(|r| r.processed)
+                .sum()
+        };
         let snap = registry.snapshot();
-        let get = |name: &str| snap.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap();
-        let (forwarded, lost) = (get("live_late_forwarded_total"), get("live_forward_lost_tuples_total"));
+        let get = |name: &str| {
+            snap.iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| *v)
+                .unwrap()
+        };
+        let (forwarded, lost) = (
+            get("live_late_forwarded_total"),
+            get("live_forward_lost_tuples_total"),
+        );
         let _ = get("live_buffered_tuples_total");
         assert_eq!(sum(s), total);
         assert!(forwarded > 0, "stale routers must force forwards");
@@ -2153,5 +1489,178 @@ mod tests {
             migrations: vec![(PoId(1), Key::new(0), 3, 4)],
         });
         let _ = rt.join();
+    }
+
+    /// A second driver of the instance actor, on one thread: one
+    /// `VecDeque` inbox per instance, and a seeded choice of which
+    /// instance steps next — a non-empty inbox delivers its head, an
+    /// idle source pulls a stage of seeded size. The wave coordinator
+    /// runs on a virtual clock of one window per 100 steps: nothing
+    /// sleeps or waits.
+    mod seeded_driver {
+        use std::collections::{HashSet, VecDeque};
+
+        use super::*;
+        use crate::key::splitmix64;
+
+        /// The seeded driver's outbox.
+        struct Queues {
+            inboxes: Vec<VecDeque<Msg>>,
+            exited: Vec<bool>,
+            notes: Vec<CoordMsg>,
+        }
+
+        impl Outbox for Queues {
+            fn send(&mut self, dest: usize, msg: Msg) -> bool {
+                if !self.exited[dest] {
+                    self.inboxes[dest].push_back(msg);
+                }
+                !self.exited[dest]
+            }
+
+            fn notify(&mut self, note: CoordMsg) {
+                self.notes.push(note);
+            }
+        }
+
+        /// Runs `topology` to its end under `seed`, starting `wave` at a
+        /// seeded step, and returns the wave's outcome and the reports
+        /// sorted by `(operator, instance)`.
+        fn run(
+            seed: u64,
+            topology: &Topology,
+            wave: &LiveReconfig,
+        ) -> (Option<Result<(), ReconfigError>>, Vec<InstanceReport>) {
+            let placement = Placement::aligned(topology, 2);
+            let shared = Arc::new(Shared::new(topology, &placement, &LiveConfig::default()));
+            let instances = Instance::all(topology, &placement, &shared, Vec::new());
+            let mut instances: Vec<Option<Instance>> = instances.into_iter().map(Some).collect();
+            let n = instances.len();
+            let mut q = Queues {
+                inboxes: (0..n).map(|_| VecDeque::new()).collect(),
+                exited: vec![false; n],
+                notes: Vec::new(),
+            };
+            let mut rng = seed;
+            let mut pick = |bound: usize| {
+                rng = splitmix64(rng);
+                (rng % bound as u64) as usize
+            };
+            let wave_at = pick(40) as u64;
+            let (mut coord, mut outcome, mut reports) = (None, None, Vec::new());
+            for step in 0u64.. {
+                let now = step / 100;
+                if step == wave_at {
+                    let roots = topology.root_instances();
+                    let staged = wave.staged(topology);
+                    let mut c = WaveCoordinator::new(staged, roots, WaveConfig::default());
+                    c.start(now);
+                    coord = Some(c);
+                }
+                let notes = std::mem::take(&mut q.notes);
+                if let Some(c) = coord.as_mut() {
+                    for note in notes {
+                        match note {
+                            CoordMsg::Ack(i) => c.ack(i),
+                            CoordMsg::Applied(i) => c.applied(i),
+                            CoordMsg::Exited(i) => c.exited(i),
+                        }
+                    }
+                    c.tick(now);
+                    for send in c.take_sends() {
+                        let i = send.to();
+                        if !q.send(i, Msg::Wave(send)) {
+                            c.exited(i);
+                        }
+                    }
+                    outcome = c.outcome();
+                    if outcome.is_some() {
+                        coord = None;
+                    }
+                }
+                let ready: Vec<usize> = (0..n)
+                    .filter(|&i| {
+                        let live = instances[i].as_ref();
+                        live.is_some_and(|x| !q.inboxes[i].is_empty() || x.pull_due().is_some())
+                    })
+                    .collect();
+                if ready.is_empty() {
+                    break;
+                }
+                let i = ready[pick(ready.len())];
+                let mut instance = instances[i].take().expect("ready instances are live");
+                match q.inboxes[i].pop_front() {
+                    Some(msg) => {
+                        instance.on_msg(msg, &mut q);
+                        if q.inboxes[i].is_empty() {
+                            instance.idle(&mut q);
+                        }
+                    }
+                    None => instance.pull(1 + pick(STAGE), &mut q),
+                }
+                if instance.done() {
+                    reports.push(instance.finish(&mut q));
+                    q.exited[i] = true;
+                    q.inboxes[i].clear();
+                } else {
+                    instances[i] = Some(instance);
+                }
+            }
+            let stuck: Vec<usize> = (0..n).filter(|&i| instances[i].is_some()).collect();
+            assert!(
+                stuck.is_empty(),
+                "seed {seed}: instances {stuck:?} never done"
+            );
+            reports.sort_by_key(|r| (r.po.index(), r.instance));
+            (outcome, reports)
+        }
+
+        /// The actor under the seeded driver, over a fixed seed range: a
+        /// modulo wave moves B's keys mid-stream, and the per-instance
+        /// state must equal the single-threaded reference exactly, each
+        /// key at one owner. Even seeds switch A's router with the wave;
+        /// odd seeds leave it, so A keeps routing by hash and B's old
+        /// owners forward every later tuple of a moved key to the end of
+        /// the stream.
+        #[test]
+        fn seeded_driver_matches_the_reference_across_a_wave() {
+            let (n, keys) = (3, 13);
+            let streams = pair_streams(n, keys, 6_000);
+            let reference = reference_fingerprint(&streams, 2).0;
+            let topology = chain_with(&streams, Arc::new(HashRouter));
+            for seed in 0..40 {
+                let mut wave = modulo_wave(n, keys);
+                if seed % 2 == 1 {
+                    wave.routers.clear();
+                }
+                let (outcome, reports) = run(seed, &topology, &wave);
+                assert!(
+                    matches!(outcome, Some(Ok(()))),
+                    "seed {seed}: wave {outcome:?}"
+                );
+                let mut owned = HashSet::new();
+                for r in reports.iter().filter(|r| r.po == PoId(2)) {
+                    for &key in r.state.keys() {
+                        assert!(owned.insert(key), "seed {seed}: key {key} has two owners");
+                    }
+                }
+                let states: Vec<_> = reports
+                    .iter()
+                    .map(|r| {
+                        let mut kv: Vec<(Key, u64)> = r
+                            .state
+                            .iter()
+                            .map(|(&k, v)| (k, v.as_count().unwrap()))
+                            .collect();
+                        kv.sort_unstable();
+                        (r.po.index(), r.instance, kv)
+                    })
+                    .collect();
+                assert_eq!(
+                    states, reference,
+                    "seed {seed}: state diverged from the reference"
+                );
+            }
+        }
     }
 }

@@ -326,7 +326,7 @@ impl Simulation {
                     if exec.coord.settled(poi) {
                         continue;
                     }
-                    self.pois[poi].wave.stage(staged);
+                    self.pois[poi].wave.stage(*staged);
                     exec.coord.ack(poi);
                     let (wave_id, acks_pending) = (exec.wave_id, exec.coord.unacked());
                     let ack = TraceEventKind::AckReconf { poi, acks_pending };

@@ -3,8 +3,8 @@
 //!
 //! Both halves are sans-IO state machines: they send nothing, take no
 //! lock and read no clock. The simulator (`reconfig.rs`) and the live
-//! runtime (`live.rs`) feed them and do the I/O their transitions
-//! return.
+//! runtime (the `Instance` actor and the wave driver in `live.rs`) feed
+//! them and do the I/O their transitions return.
 //!
 //! * [`WaveParticipant`] is one instance. It takes ③ `SEND_RECONF`
 //!   payloads cut by [`ReconfigPlan::split`], ⑤ `PROPAGATE` and the
@@ -188,12 +188,12 @@ impl Report {
 }
 
 /// A wave control message and the instance it goes to: what the
-/// coordinator asks its runtime to send (and, in the simulator's control
-/// queue, also the ⑤ an instance forwards).
+/// coordinator asks its runtime to send, and the ⑤ an instance forwards.
 #[derive(Clone)]
 pub(crate) enum WaveSend {
-    /// ③: the part of the instance's plan not yet carried out.
-    Reconf(usize, StagedReconf),
+    /// ③: the part of the instance's plan not yet carried out. Boxed,
+    /// as a live inbox sizes each of its slots for the largest message.
+    Reconf(usize, Box<StagedReconf>),
     /// ⑤: from the coordinator to a root, it releases attempt 0.
     Propagate(usize),
     /// Apply now, at a straggler: releases a later attempt. Never
@@ -292,7 +292,7 @@ impl WaveCoordinator {
                 reconf
                     .receive
                     .retain(|&k| !shipped.contains(&(k, PoiId(i))));
-                self.sends.push(WaveSend::Reconf(i, reconf));
+                self.sends.push(WaveSend::Reconf(i, Box::new(reconf)));
             }
         }
         self.release_if_staged();
@@ -564,7 +564,7 @@ mod tests {
 
     fn reconf_of(c: &mut WaveCoordinator, instance: usize) -> StagedReconf {
         let found = c.take_sends().into_iter().find_map(|s| match s {
-            WaveSend::Reconf(i, r) if i == instance => Some(r),
+            WaveSend::Reconf(i, r) if i == instance => Some(*r),
             _ => None,
         });
         found.expect("instance was restaged")

@@ -691,18 +691,40 @@ fn live_batch_drop_drains_and_accounts_for_every_tuple() {
 
 /// Crash-respawn in the live runtime: after `checkpoint_now`, a
 /// crashed instance comes back with the checkpointed counts and keeps
-/// counting forward from there.
+/// counting forward from there. A crashed source restores nothing, so
+/// crashing one probes none of its siblings: their send buffers, which
+/// a probe would flush, are left alone.
 #[test]
 fn live_crash_respawns_from_checkpoint() {
+    use streamloc_engine::MetricsRegistry;
+
+    // Two sources, each generating ≤ 10k tuples/s on its own, so the
+    // runtime sees saturating sources: their output leaves in full
+    // batches of 100 (never a multiple of their 64-tuple stages), or on
+    // a control flush.
     let mut b = Topology::builder();
-    let s = b.source("S", 1, SourceRate::PerSecond(5_000.0), |_| {
-        Box::new(|| Some(Tuple::new([Key::new(1)], 0)))
+    let s = b.source("S", 2, SourceRate::Saturate, |_| {
+        Box::new(|| {
+            std::thread::sleep(std::time::Duration::from_micros(100));
+            Some(Tuple::new([Key::new(1)], 0))
+        })
     });
     let a = b.stateful("A", 1, CountOperator::factory());
     b.connect(s, a, Grouping::fields(0));
     let topo = b.build().unwrap();
     let placement = Placement::aligned(&topo, 1);
-    let mut rt = LiveRuntime::start(topo, placement, 1, LiveConfig::default());
+    let registry = Arc::new(MetricsRegistry::new());
+    let config = LiveConfig {
+        batch_size: 100,
+        metrics: Some(Arc::clone(&registry)),
+        ..LiveConfig::default()
+    };
+    let control_flushes = || {
+        let snapshot = registry.snapshot().into_iter();
+        let mut flushes = snapshot.filter(|(name, _)| name == "live_batch_control_flushes_total");
+        flushes.next().map_or(0, |(_, n)| n)
+    };
+    let mut rt = LiveRuntime::start(topo, placement, 1, config);
     std::thread::sleep(std::time::Duration::from_millis(60));
 
     let cp = rt.checkpoint_now();
@@ -732,6 +754,10 @@ fn live_crash_respawns_from_checkpoint() {
         after_crash >= 1 && after_crash <= cp_count + 10_000,
         "restored count {after_crash} not anchored at checkpoint ({cp_count})"
     );
+
+    let flushes = control_flushes();
+    rt.crash_instance(s, 0);
+    assert_eq!(control_flushes(), flushes, "crashing a source probed its sibling");
 
     rt.stop();
     let reports = rt.join();
