@@ -11,9 +11,9 @@
 //!
 //! [`Instance`] is the live runtime's per-instance rule (paper
 //! Algorithm 1), for sources and operators alike, as a sans-IO actor
-//! over one FIFO inbox that sends only through an [`Outbox`]: one
-//! thread per instance drives it (`live.rs`), or one seeded thread for
-//! all (its tests).
+//! over one FIFO inbox that sends only through an [`Outbox`]: a shard
+//! thread drives it together with the other instances of its shard
+//! (`live.rs`), or one seeded thread drives all of them (its tests).
 //!
 //! End of stream is by protocol. A source is done once exhausted,
 //! stopped or crashed, and sends `Eos` to every successor instance. A
@@ -55,6 +55,12 @@ use crate::sim::Placement;
 use crate::topology::{EdgeId, Grouping, PoId, PoKind, SourceRate, Topology, TupleSource};
 use crate::tuple::{tuple_run_len, Tuple};
 use crate::wave::{Hold, WaveParticipant, WaveSend};
+
+/// A source stage reads the clock after its first, second and fourth
+/// tuple, then after every this many, to close at its deadline: a
+/// generator that blocks until each tuple is due is caught after one
+/// tuple, a saturating one costs a read per 8 tuples.
+const CLOCK_EVERY: usize = 8;
 
 /// Observes the `(input key, output key)` pairs flowing through a
 /// stateful instance — the instrumentation hook of paper §3.2.
@@ -358,6 +364,17 @@ pub(crate) enum Msg {
     Crash { restore: HashMap<Key, StateValue> },
 }
 
+impl Msg {
+    /// Data tuples the message carries.
+    pub(crate) fn tuples(&self) -> usize {
+        match self {
+            Msg::Data(_) => 1,
+            Msg::Batch(tuples) => tuples.len(),
+            _ => 0,
+        }
+    }
+}
+
 /// Instance → wave coordinator notifications, tagged with the global
 /// instance index so retries and duplicates never double count.
 pub(crate) enum CoordMsg {
@@ -536,8 +553,10 @@ impl Shared {
 /// One live instance, source or operator: the per-instance rule as an
 /// actor. A driver delivers its inbox in order to
 /// [`on_msg`](Self::on_msg), lets a source [`pull`](Self::pull), calls
-/// [`idle`](Self::idle) when the inbox ran dry and it is about to
-/// wait, and [`finish`](Self::finish)es it once [`done`](Self::done).
+/// [`drained`](Self::drained) when the inbox ran dry, hands off the
+/// send buffers with [`flush_buffers`](Self::flush_buffers) when it
+/// chooses, and [`finish`](Self::finish)es the instance once
+/// [`done`](Self::done).
 pub(crate) struct Instance {
     po: PoId,
     /// Index within the operator.
@@ -572,6 +591,8 @@ pub(crate) struct Instance {
     /// and observers get bulk adds per routed batch, so locality
     /// statistics do not depend on the batch size.
     out_buf: Vec<Vec<Tuple>>,
+    /// Tuples in `out_buf`, summed over destinations.
+    buffered: usize,
     /// Scratch `(dest, len)` runs of one out edge.
     run_buf: Vec<DestRun>,
     /// Tuples processed (for a source: emitted).
@@ -638,6 +659,7 @@ impl Instance {
                     wave: WaveParticipant::new(topology.predecessor_instances(po)),
                     routes: OutRoutes::new(topology, placement, po, instance),
                     out_buf: vec![Vec::new(); n],
+                    buffered: 0,
                     run_buf: Vec::new(),
                     processed: 0,
                     span_rec: shared
@@ -699,6 +721,7 @@ impl Instance {
                 // Everything volatile is lost; the instance respawns from
                 // the checkpoint the runtime carried over.
                 self.out_buf.iter_mut().for_each(Vec::clear);
+                self.buffered = 0;
                 self.core.state = restore;
                 self.wave.reset();
                 self.respawning = true;
@@ -742,16 +765,33 @@ impl Instance {
         out.notify(CoordMsg::Applied(self.index));
     }
 
-    /// A source's step: stages at most `max` generated tuples (fewer
-    /// means the generator ran dry), stamps span origins and routes
-    /// them as a column. An operator has nothing to pull.
-    pub(crate) fn pull(&mut self, max: usize, out: &mut impl Outbox) {
+    /// A source's step: stages at most `max` generated tuples, stamps
+    /// span origins and routes them as a column. The stage also closes
+    /// at `close`, if given: a generator may block until its tuples are
+    /// due, and a tuple must not wait for a full stage (the clock reads
+    /// are spaced as [`CLOCK_EVERY`] says). An operator has nothing to
+    /// pull.
+    pub(crate) fn pull(&mut self, max: usize, close: Option<Instant>, out: &mut impl Outbox) {
         let Some((gen, _)) = &mut self.source else {
             return;
         };
         let mut stage = Vec::with_capacity(max);
-        stage.extend(std::iter::from_fn(|| gen.next_tuple()).take(max));
-        if stage.len() < max {
+        let mut dry = false;
+        while stage.len() < max {
+            let n = stage.len();
+            let check = n.is_power_of_two() || n % CLOCK_EVERY == 0;
+            if n > 0 && check && close.is_some_and(|c| Instant::now() >= c) {
+                break;
+            }
+            match gen.next_tuple() {
+                Some(tuple) => stage.push(tuple),
+                None => {
+                    dry = true;
+                    break;
+                }
+            }
+        }
+        if dry {
             self.source = None;
         }
         self.processed += stage.len() as u64;
@@ -762,6 +802,11 @@ impl Instance {
             sampler.stamp_batch(&mut stage, field, self.shared.now_ns());
         }
         self.route(&mut stage, out);
+    }
+
+    /// Global index.
+    pub(crate) fn index(&self) -> usize {
+        self.index
     }
 
     /// When a source's next [`pull`](Self::pull) is due, as time since
@@ -785,11 +830,19 @@ impl Instance {
         }
     }
 
-    /// The inbox ran dry and the driver is about to wait: the partial
-    /// batches are handed off, so they never sit on an idle instance,
-    /// and a crash's drain ends.
-    pub(crate) fn idle(&mut self, out: &mut impl Outbox) {
+    /// Hands off the partial batches. The driver decides when: before
+    /// it waits, and once a buffered tuple has lingered long enough.
+    pub(crate) fn flush_buffers(&mut self, out: &mut impl Outbox) {
         self.flush(out, false);
+    }
+
+    /// Tuples in the send buffers, waiting for a flush.
+    pub(crate) fn buffered(&self) -> usize {
+        self.buffered
+    }
+
+    /// The inbox ran dry: a crash's drain ends here.
+    pub(crate) fn drained(&mut self) {
         self.respawning = false;
     }
 
@@ -824,15 +877,17 @@ impl Instance {
     /// FIFO ordering — data routed under the old configuration arrives
     /// ahead of `Propagate`/`Eos` — is preserved.
     fn flush(&mut self, out: &mut impl Outbox, control: bool) {
-        let mut flushed = false;
+        if self.buffered == 0 {
+            return;
+        }
         for dest in 0..self.out_buf.len() {
             if !self.out_buf[dest].is_empty() {
                 let batch = std::mem::take(&mut self.out_buf[dest]);
                 self.shared.send_batch(dest, batch, out);
-                flushed = true;
             }
         }
-        if control && flushed {
+        self.buffered = 0;
+        if control {
             self.shared.batch_control_flushes.inc();
         }
     }
@@ -894,8 +949,10 @@ impl Instance {
                     let take = rest.len().min(batch - buf.len());
                     buf.extend_from_slice(&rest[..take]);
                     rest = &rest[take..];
+                    self.buffered += take;
                     if buf.len() >= batch {
                         let full = std::mem::replace(buf, Vec::with_capacity(batch));
+                        self.buffered -= full.len();
                         shared.send_batch(dest, full, out);
                     }
                 }

@@ -1,7 +1,7 @@
 //! A real multi-threaded runtime executing the same [`Topology`] the
-//! simulator models: one OS thread per operator instance, bounded
-//! crossbeam channels between them, and the online reconfiguration
-//! protocol of paper §3.4 running over actual message passing.
+//! simulator models: a few shard threads, each driving a set of
+//! operator instances, and the online reconfiguration protocol of
+//! paper §3.4 running over actual message passing.
 //!
 //! The simulator (`sim.rs`) answers *performance* questions with a
 //! controlled cost model; this runtime answers *functional* ones — it
@@ -10,27 +10,38 @@
 //! [`Instance`] actor of `instance.rs` (data plane, wave participant,
 //! end of stream), and the wave driver runs the same `WaveCoordinator`
 //! as the simulator (stage, gate, release, and roll-forward recovery).
-//! This module adds only the threads, the channels and the public API:
-//! each thread drives one actor ([`drive`]), and its [`Wire`] is the
-//! actor's outbox. "Servers" are placement tags: transfers between
-//! instances with different tags are counted as remote, so locality
-//! statistics remain meaningful even though everything runs in one
-//! process. A thread ends when its actor is done, by protocol, so
-//! [`LiveRuntime::join`] returns exactly when the pipeline drained.
+//! This module adds only the shards and the public API.
+//!
+//! A shard ([`Shard::run`]) is one thread that drives a set of
+//! actors, each with a local FIFO queue. Every source instance has a
+//! shard of its own, because a [`TupleSource`] is user code that may
+//! block. Operator instances are grouped by placement tag into
+//! `min(tags, available_parallelism)` shards, tag `t` in shard `t % k`.
+//! A send to an instance of the same shard is pushed onto its queue:
+//! an in-memory hand-off, with no channel and no wake-up. A send to
+//! another shard goes on that shard's one unbounded channel, which the
+//! wave driver, probes and crashes post to as well. "Servers" are
+//! placement tags: transfers between instances with different tags are
+//! counted as remote, so locality statistics remain meaningful even
+//! though everything runs in one process. A shard ends when its last
+//! actor is done, by protocol, so [`LiveRuntime::join`] returns exactly
+//! when the pipeline drained.
+//!
+//! [`TupleSource`]: crate::TupleSource
 
-use std::collections::HashMap;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use crate::checkpoint::ClusterCheckpoint;
 use crate::fault::{ControlFate, FaultInjector, FaultPlan};
 use crate::instance::{CoordMsg, Instance, Msg, Outbox, PairObserver, Shared};
 use crate::key::Key;
-use crate::obs::{MetricsRegistry, SpanSampler};
+use crate::obs::{Gauge, MetricsRegistry, SpanSampler};
 use crate::operator::StateValue;
 use crate::reconfig::{ReconfigError, ReconfigPlan, WaveConfig};
 use crate::router::KeyRouter;
@@ -97,23 +108,21 @@ pub struct InstanceReport {
     pub processed: u64,
 }
 
-/// Bounded capacity of each instance inbox (backpressure).
-const INBOX_CAPACITY: usize = 8_192;
-
-/// Tuples a source generates per step.
-const STAGE: usize = 64;
+/// How long a tuple may wait in a source stage or a send buffer
+/// before its shard hands it off.
+const LINGER: Duration = Duration::from_micros(100);
 
 /// Runtime tuning knobs.
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
     /// Data-plane batching: tuples per destination are coalesced into
     /// `Msg::Batch` sends of up to this many tuples. Buffers are
-    /// flushed when full, whenever the worker would otherwise block on
-    /// an empty inbox, and on every control-plane boundary (staging a
-    /// `Reconf`, forwarding `Propagate`, answering a `StateProbe`,
-    /// sending `Eos`) so per-sender FIFO ordering relative to control
-    /// messages is preserved. `0` or `1` disables batching (one
-    /// `Msg::Data` per tuple, the pre-batching behavior).
+    /// flushed when full, when their shard is about to wait, once a
+    /// buffered tuple has waited 100 µs, and on every control-plane
+    /// boundary (staging a `Reconf`, forwarding `Propagate`, answering
+    /// a `StateProbe`, sending `Eos`) so per-sender FIFO ordering
+    /// relative to control messages is preserved. `0` or `1` disables
+    /// batching (one `Msg::Data` per tuple, the pre-batching behavior).
     pub batch_size: usize,
     /// Observability registry. When set, the runtime registers its
     /// hot-path counters (tuples routed/remote, migrations, migration
@@ -183,8 +192,8 @@ impl Default for LiveConfig {
 pub struct LiveRuntime {
     topology: Topology,
     shared: Arc<Shared>,
-    inboxes: Arc<[Sender<Msg>]>,
-    handles: Vec<JoinHandle<InstanceReport>>,
+    fabric: Arc<Fabric>,
+    handles: Vec<JoinHandle<Vec<InstanceReport>>>,
     coord_rx: Receiver<CoordMsg>,
     last_checkpoint: Option<ClusterCheckpoint>,
     checkpoint_seq: u64,
@@ -193,14 +202,26 @@ pub struct LiveRuntime {
 impl std::fmt::Debug for LiveRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveRuntime")
-            .field("instances", &self.inboxes.len())
+            .field("instances", &self.instances())
+            .field("shards", &self.handles.len())
             .finish_non_exhaustive()
     }
 }
 
 impl LiveRuntime {
+    /// Tuples a source stages per step, at most.
+    pub const STAGE: usize = 64;
+
+    /// Admission bound: a source stages tuples only while fewer than
+    /// this many are in flight between instances (in send buffers,
+    /// shard queues and channels, summed over the deployment). With
+    /// one source, and operators that send on at most one tuple for
+    /// each tuple they take, the in-flight count never exceeds it by
+    /// more than one stage per out edge of the source.
+    pub const BACKLOG_BOUND: u64 = 16_384;
+
     /// Deploys `topology` on `servers` placement tags and starts every
-    /// instance thread.
+    /// shard thread.
     ///
     /// # Panics
     ///
@@ -242,23 +263,65 @@ impl LiveRuntime {
         let in_range = shared.server.iter().all(|&s| s < servers);
         assert!(in_range, "placement server out of range");
         let instances = Instance::all(&topology, &placement, &shared, observers);
-        let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..instances.len())
-            .map(|_| bounded::<Msg>(INBOX_CAPACITY))
-            .unzip();
-        let inboxes: Arc<[Sender<Msg>]> = inboxes.into();
-        // Bounded: per wave attempt an instance sends at most one Ack
-        // and one Applied, plus one lifetime Exited; with the default
-        // retry budget this capacity is never reached, so instances
-        // never block on coordinator notifications.
-        let (coord, coord_rx) = bounded(8 * instances.len() + 16);
-        let handles = instances.into_iter().zip(receivers).map(|(instance, rx)| {
-            let (inboxes, coord) = (Arc::clone(&inboxes), coord.clone());
-            std::thread::spawn(move || drive(instance, &rx, Wire { inboxes, coord }))
+        // Operator shards first, tag `t` in shard `t % k`, then one
+        // shard per source; each in global instance order.
+        let k = servers.min(cores());
+        let mut groups: Vec<Vec<(usize, Instance)>> = (0..k).map(|_| Vec::new()).collect();
+        for (idx, instance) in instances.into_iter().enumerate() {
+            if instance.pull_due().is_some() {
+                groups.push(vec![(idx, instance)]);
+            } else {
+                groups[shared.server[idx] % k].push((idx, instance));
+            }
+        }
+        groups.retain(|g| !g.is_empty());
+        let mut place = vec![(0, 0); shared.server.len()];
+        for (shard, group) in groups.iter().enumerate() {
+            for (slot, (idx, _)) in group.iter().enumerate() {
+                place[*idx] = (shard, slot);
+            }
+        }
+        let (posts, receivers): (Vec<_>, Vec<_>) = groups.iter().map(|_| unbounded()).unzip();
+        let (coord, coord_rx) = unbounded();
+        let sources = groups
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| g[0].1.pull_due().is_some());
+        let registry = config.metrics.as_deref();
+        let fabric = Arc::new(Fabric {
+            exited: place.iter().map(|_| AtomicBool::new(false)).collect(),
+            place,
+            waiting: posts.iter().map(|_| AtomicBool::new(false)).collect(),
+            sources: sources.map(|(shard, _)| shard).collect(),
+            posts,
+            coord,
+            backlog: AtomicI64::new(0),
+            backlog_peak: registry.map_or_else(Gauge::detached, |r| {
+                r.gauge(
+                    "live_backlog_max_tuples",
+                    "most tuples in flight between live instances at once",
+                )
+            }),
+        });
+        let handles = groups.into_iter().zip(receivers).enumerate();
+        let handles = handles.map(|(id, (group, rx))| {
+            let shard = Shard {
+                rx,
+                out: ShardOut {
+                    fabric: Arc::clone(&fabric),
+                    shard: id,
+                    queues: group.iter().map(|_| VecDeque::new()).collect(),
+                    sent: 0,
+                },
+                instances: group.into_iter().map(|(_, i)| Some(i)).collect(),
+                buffered: 0,
+            };
+            std::thread::spawn(move || shard.run())
         });
         Self {
             handles: handles.collect(),
             shared,
-            inboxes,
+            fabric,
             coord_rx,
             topology,
             last_checkpoint: None,
@@ -266,10 +329,10 @@ impl LiveRuntime {
         }
     }
 
-    /// Number of instance threads.
+    /// Number of instances, sources included.
     #[must_use]
     pub fn instances(&self) -> usize {
-        self.inboxes.len()
+        self.fabric.place.len()
     }
 
     /// Locality of `edge` so far: local transfers / all transfers
@@ -299,7 +362,9 @@ impl LiveRuntime {
     /// Snapshot of global instance `idx`; `None` once it exited.
     fn probe(&self, idx: usize) -> Option<HashMap<Key, StateValue>> {
         let (tx, rx) = bounded(1);
-        self.inboxes[idx].send(Msg::StateProbe(tx)).ok()?;
+        if !self.fabric.post(idx, Msg::StateProbe(tx)) {
+            return None;
+        }
         rx.recv().ok()
     }
 
@@ -423,7 +488,7 @@ impl LiveRuntime {
     /// exited, so the wave never waits on a dead instance.
     fn deliver(&self, coord: &mut WaveCoordinator, send: WaveSend) {
         let idx = send.to();
-        if self.inboxes[idx].send(Msg::Wave(send)).is_err() {
+        if !self.fabric.post(idx, Msg::Wave(send)) {
             coord.exited(idx);
         }
     }
@@ -453,13 +518,13 @@ impl LiveRuntime {
     /// respawned live instance re-fetches the *current* tables from
     /// the manager, not the checkpoint's.
     pub fn checkpoint_now(&mut self) -> ClusterCheckpoint {
-        let probes = (0..self.inboxes.len()).map(|idx| self.probe(idx).unwrap_or_default());
+        let probes = (0..self.instances()).map(|idx| self.probe(idx).unwrap_or_default());
         let states = probes.collect();
         self.checkpoint_seq += 1;
         let cp = ClusterCheckpoint {
             window_index: self.checkpoint_seq,
             states,
-            routers: vec![Vec::new(); self.inboxes.len()],
+            routers: vec![Vec::new(); self.instances()],
         };
         self.last_checkpoint = Some(cp.clone());
         cp
@@ -496,13 +561,17 @@ impl LiveRuntime {
                 restore.retain(|key, _| !held.contains_key(key));
             }
         }
-        let _ = self.inboxes[idx].send(Msg::Crash { restore });
+        self.fabric.post(idx, Msg::Crash { restore });
     }
 
     /// Asks saturating sources to stop; finite sources stop on their
     /// own when exhausted.
     pub fn stop(&self) {
         self.shared.stop.store(true, Ordering::Relaxed);
+        // A source waiting for credit or for its next stage re-checks.
+        for &shard in &self.fabric.sources {
+            let _ = self.fabric.posts[shard].send(Post::Wake);
+        }
     }
 
     /// Waits for the pipeline to drain (all `Eos` tokens delivered)
@@ -512,66 +581,280 @@ impl LiveRuntime {
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panicked.
+    /// Panics if a shard thread panicked.
     #[must_use]
     pub fn join(self) -> Vec<InstanceReport> {
         let mut reports: Vec<InstanceReport> = self
             .handles
             .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
+            .flat_map(|h| h.join().expect("shard panicked"))
             .collect();
         reports.sort_by_key(|r| (r.po.index(), r.instance));
         reports
     }
 }
 
-/// A thread's outbox: every instance inbox and the coordinator channel.
-/// A send fails once the receiving thread has exited.
-struct Wire {
-    inboxes: Arc<[Sender<Msg>]>,
-    coord: Sender<CoordMsg>,
+/// Posts a shard takes off its channel per turn, at most.
+const TURN_POSTS: usize = 16;
+
+/// The hardware threads this process may use, read once.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
 }
 
-impl Outbox for Wire {
+/// What a shard's channel carries.
+enum Post {
+    /// A message for the instance of this global index.
+    To(usize, Msg),
+    /// Wakes a source shard: credit came back, or the runtime stopped.
+    Wake,
+}
+
+/// What the shards and the runtime share: where every instance runs,
+/// the shard channels and the admission state.
+struct Fabric {
+    /// `(shard, slot in the shard)` of every instance, by global index.
+    place: Vec<(usize, usize)>,
+    /// Every shard's channel, by shard.
+    posts: Vec<Sender<Post>>,
+    /// Set once an instance finished: a send to it fails.
+    exited: Vec<AtomicBool>,
+    /// The source shards.
+    sources: Vec<usize>,
+    /// Set while a source shard waits for credit, by shard.
+    waiting: Vec<AtomicBool>,
+    coord: Sender<CoordMsg>,
+    /// Tuples in flight between instances: in send buffers, shard
+    /// queues and channels. Each shard adds its net change once per
+    /// turn, so the sum can dip below zero for a moment.
+    backlog: AtomicI64,
+    /// The most `backlog` read after an increase.
+    backlog_peak: Gauge,
+}
+
+impl Fabric {
+    /// Posts `msg` to instance `idx` from outside the shards; `false`
+    /// once the instance or its shard is gone.
+    fn post(&self, idx: usize, msg: Msg) -> bool {
+        let shard = self.place[idx].0;
+        !self.exited[idx].load(Ordering::Acquire)
+            && self.posts[shard].send(Post::To(idx, msg)).is_ok()
+    }
+
+    /// Whether a source may stage more tuples.
+    fn admits(&self) -> bool {
+        self.backlog.load(Ordering::SeqCst) < LiveRuntime::BACKLOG_BOUND as i64
+    }
+
+    /// Registers source shard `shard` as waiting for credit, unless
+    /// credit came back meanwhile: `true` if it may stage now. Paired
+    /// with [`publish`](Self::publish), whose decrease is ordered
+    /// against this check, so a wake-up is never lost.
+    fn await_credit(&self, shard: usize) -> bool {
+        self.waiting[shard].store(true, Ordering::SeqCst);
+        let admits = self.admits();
+        if admits {
+            self.waiting[shard].store(false, Ordering::SeqCst);
+        }
+        admits
+    }
+
+    /// Adds a shard's net change to the backlog. A decrease that leaves
+    /// it under the bound wakes every source waiting for credit.
+    fn publish(&self, delta: i64) {
+        if delta == 0 {
+            return;
+        }
+        let after = self.backlog.fetch_add(delta, Ordering::SeqCst) + delta;
+        if delta > 0 {
+            self.backlog_peak.max(after.max(0) as u64);
+            return;
+        }
+        if after < LiveRuntime::BACKLOG_BOUND as i64 {
+            for &shard in &self.sources {
+                let waiting = &self.waiting[shard];
+                if waiting.load(Ordering::SeqCst) && waiting.swap(false, Ordering::SeqCst) {
+                    let _ = self.posts[shard].send(Post::Wake);
+                }
+            }
+        }
+    }
+}
+
+/// A shard's outbox: the local queues of its instances, and every
+/// other shard's channel.
+struct ShardOut {
+    fabric: Arc<Fabric>,
+    shard: usize,
+    /// The queue of each instance of this shard, by slot.
+    queues: Vec<VecDeque<Msg>>,
+    /// Tuples sent since the shard last published.
+    sent: u64,
+}
+
+impl Outbox for ShardOut {
     fn send(&mut self, dest: usize, msg: Msg) -> bool {
-        self.inboxes[dest].send(msg).is_ok()
+        let fabric = &*self.fabric;
+        if fabric.exited[dest].load(Ordering::Acquire) {
+            return false;
+        }
+        let tuples = msg.tuples() as u64;
+        let (shard, slot) = fabric.place[dest];
+        if shard == self.shard {
+            self.queues[slot].push_back(msg);
+        } else if fabric.posts[shard].send(Post::To(dest, msg)).is_err() {
+            return false;
+        }
+        self.sent += tuples;
+        true
     }
 
     fn notify(&mut self, note: CoordMsg) {
-        let _ = self.coord.send(note);
+        let _ = self.fabric.coord.send(note);
     }
 }
 
-/// The thread driver, for sources and operators alike: drains the
-/// inbox into [`Instance::on_msg`] until the actor is done. With the
-/// inbox empty, a source pulls its next stage once it is due — a paced
-/// source's tuple `k` at `k / rate` after it started, so the time spent
-/// generating and routing does not slow it down — and otherwise the
-/// actor goes idle (its partial batches leave) and the thread blocks
-/// until a message arrives or the next stage is due.
-fn drive(mut instance: Instance, rx: &Receiver<Msg>, mut out: Wire) -> InstanceReport {
-    let start = Instant::now();
-    while !instance.done() {
-        let due = instance.pull_due().map(|d| start + d);
-        let msg = rx.try_recv().ok().or_else(|| {
-            if due.is_some_and(|due| due <= Instant::now()) {
-                return None;
+/// One shard thread: its instances by slot (`None` once finished), in
+/// global instance order, so output handed to a later instance of the
+/// shard is handled in the same turn.
+struct Shard {
+    rx: Receiver<Post>,
+    instances: Vec<Option<Instance>>,
+    out: ShardOut,
+    /// Tuples in the instances' send buffers at the last publish.
+    buffered: u64,
+}
+
+impl Shard {
+    /// The shard driver, for sources and operators alike. A turn reads
+    /// the clock once, moves what the channel holds onto the instance
+    /// queues, and drains each queue into [`Instance::on_msg`] in slot
+    /// order. A source pulls a stage once it is due — a paced source's
+    /// tuple `k` at `k / rate` after it started, so the time spent
+    /// generating and routing does not slow it down — and while the
+    /// backlog admits one; the stage closes after [`LINGER`] at the
+    /// latest. Then the shard publishes its net backlog change.
+    ///
+    /// The shard flushes every send buffer once a buffered tuple has
+    /// lingered [`LINGER`], checked at the start of each turn, and when
+    /// it is about to block: with every queue empty and no source ready
+    /// to pull, it waits for a post, for a paced source's next stage,
+    /// or for credit.
+    fn run(mut self) -> Vec<InstanceReport> {
+        let start = Instant::now();
+        let mut reports = Vec::new();
+        let mut linger: Option<Instant> = None;
+        let mut handled = 0;
+        while reports.len() < self.instances.len() {
+            let now = Instant::now();
+            let mut taken = 0;
+            while taken < TURN_POSTS {
+                let Ok(post) = self.rx.try_recv() else {
+                    break;
+                };
+                handled += self.take(post);
+                taken += 1;
             }
-            instance.idle(&mut out);
-            match due {
-                Some(due) => rx
+            let more = taken == TURN_POSTS;
+            if linger.is_some_and(|since| now.duration_since(since) >= LINGER) {
+                self.flush();
+                linger = None;
+            }
+            let (mut ready, mut wake) = (false, None::<Instant>);
+            for slot in 0..self.instances.len() {
+                let Some(instance) = self.instances[slot].as_mut() else {
+                    continue;
+                };
+                while let Some(msg) = self.out.queues[slot].pop_front() {
+                    handled += msg.tuples();
+                    instance.on_msg(msg, &mut self.out);
+                }
+                instance.drained();
+                let due = instance.pull_due().filter(|_| !instance.done());
+                match due.map(|d| start + d) {
+                    Some(due) if due > now => wake = Some(due),
+                    Some(_)
+                        if self.out.fabric.admits()
+                            || self.out.fabric.await_credit(self.out.shard) =>
+                    {
+                        instance.pull(LiveRuntime::STAGE, Some(now + LINGER), &mut self.out);
+                        ready = true;
+                    }
+                    _ => {}
+                }
+                if instance.done() {
+                    let instance = self.instances[slot].take().expect("a live slot");
+                    let idx = instance.index();
+                    reports.push(instance.finish(&mut self.out));
+                    self.out.fabric.exited[idx].store(true, Ordering::Release);
+                    let queue = self.out.queues[slot].drain(..);
+                    handled += queue.map(|msg| msg.tuples()).sum::<usize>();
+                }
+            }
+            let buffered = self.publish(std::mem::take(&mut handled));
+            linger = (buffered > 0).then(|| linger.unwrap_or(now));
+            if ready || more || self.out.queues.iter().any(|q| !q.is_empty()) {
+                continue;
+            }
+            self.flush();
+            linger = None;
+            if reports.len() == self.instances.len()
+                || self.out.queues.iter().any(|q| !q.is_empty())
+            {
+                continue;
+            }
+            let post = match wake {
+                Some(due) => self
+                    .rx
                     .recv_timeout(due.saturating_duration_since(Instant::now()))
                     .ok(),
-                // `out` keeps this inbox open: the receive cannot fail.
-                None => rx.recv().ok(),
+                // The fabric keeps this channel open: the receive cannot
+                // fail.
+                None => self.rx.recv().ok(),
+            };
+            if let Some(post) = post {
+                handled += self.take(post);
             }
-        });
-        match msg {
-            Some(msg) => instance.on_msg(msg, &mut out),
-            None => instance.pull(STAGE, &mut out),
+        }
+        reports
+    }
+
+    /// Queues a post for its instance. Returns the tuples of a message
+    /// whose instance already finished: it is dropped, and counts as
+    /// handled.
+    fn take(&mut self, post: Post) -> usize {
+        let Post::To(idx, msg) = post else {
+            return 0;
+        };
+        let slot = self.out.fabric.place[idx].1;
+        if self.instances[slot].is_none() {
+            return msg.tuples();
+        }
+        self.out.queues[slot].push_back(msg);
+        0
+    }
+
+    /// Hands off every send buffer of the shard.
+    fn flush(&mut self) {
+        for instance in self.instances.iter_mut().flatten() {
+            instance.flush_buffers(&mut self.out);
         }
     }
-    instance.finish(&mut out)
+
+    /// Publishes the shard's net backlog change since the last call:
+    /// tuples sent and newly buffered, less the `handled` tuples of
+    /// the messages it took off its queues. Returns the tuples now
+    /// buffered.
+    fn publish(&mut self, handled: usize) -> u64 {
+        let instances = self.instances.iter().flatten();
+        let buffered: u64 = instances.map(|i| i.buffered() as u64).sum();
+        let added = self.out.sent + buffered;
+        let removed = self.buffered + handled as u64;
+        self.out.fabric.publish(added as i64 - removed as i64);
+        (self.buffered, self.out.sent) = (buffered, 0);
+        buffered
+    }
 }
 
 #[cfg(test)]
@@ -1593,10 +1876,11 @@ mod tests {
                     Some(msg) => {
                         instance.on_msg(msg, &mut q);
                         if q.inboxes[i].is_empty() {
-                            instance.idle(&mut q);
+                            instance.flush_buffers(&mut q);
+                            instance.drained();
                         }
                     }
-                    None => instance.pull(1 + pick(STAGE), &mut q),
+                    None => instance.pull(1 + pick(LiveRuntime::STAGE), None, &mut q),
                 }
                 if instance.done() {
                     reports.push(instance.finish(&mut q));
