@@ -163,29 +163,38 @@ fn throughput_run_sampled(
 pub fn bench_throughput(quick: bool) -> (ThroughputBench, PathBuf) {
     let servers = 3;
     let keys = 1_000;
-    let total: u64 = if quick { 400_000 } else { 2_000_000 };
+    // Quick mode too: a batched run of 400k tuples lasts ≈ 36 ms, too
+    // short to hold `bench-check`'s 20% gate on two shared cores.
+    let total: u64 = 2_000_000;
     println!("Live throughput — Zipf({keys}) chain, {servers} servers, {total} tuples");
     println!("  mode        batch   elapsed      tuples/s   batch sends");
     let reps = 5;
-    let mut runs = Vec::new();
     let configs: [(&'static str, usize); 4] = [
         ("unbatched", 1),
         ("columnar", 16),
         ("columnar", 64),
         ("columnar", 256),
     ];
-    for (mode, batch_size) in configs {
-        // Best of `reps`: on a loaded machine the minimum wall time is
-        // the least-perturbed estimate of the pipeline's actual cost.
-        let run = (0..reps)
-            .map(|_| throughput_run(servers, keys, total, mode, batch_size))
-            .max_by(|a, b| a.tuples_per_s.total_cmp(&b.tuples_per_s))
-            .expect("at least one rep");
+    // Best of `reps` per configuration: on a loaded machine the minimum
+    // wall time is the least-perturbed estimate of the pipeline's
+    // actual cost. The configurations take turns within each rep, so a
+    // burst of host load slows one rep of several modes rather than
+    // every rep of one.
+    let mut runs: Vec<Option<ThroughputRun>> = vec![None; configs.len()];
+    for _ in 0..reps {
+        for (best, &(mode, batch_size)) in runs.iter_mut().zip(&configs) {
+            let run = throughput_run(servers, keys, total, mode, batch_size);
+            if best.is_none_or(|b| run.tuples_per_s > b.tuples_per_s) {
+                *best = Some(run);
+            }
+        }
+    }
+    let runs: Vec<ThroughputRun> = runs.into_iter().flatten().collect();
+    for run in &runs {
         println!(
             "  {:<9}   {:>5}   {:>6.3}s   {:>9.0}   {:>11}",
             run.mode, run.batch_size, run.elapsed_s, run.tuples_per_s, run.batch_sends
         );
-        runs.push(run);
     }
     let bench = ThroughputBench {
         total_tuples: total,

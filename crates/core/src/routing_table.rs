@@ -1,10 +1,9 @@
 //! Explicit key → instance routing tables with hash fallback.
 
-use std::collections::HashMap;
-
 use streamloc_engine::{
     key_run_len, push_dest_run, Counter, DestRun, HashRouter, Key, KeyRouter,
 };
+use streamloc_sketch::KeyMap;
 
 /// How one key resolved against the table; cached in the `route_batch`
 /// memo so repeated keys also skip the counter classification, and
@@ -40,7 +39,7 @@ enum Resolution {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
-    table: HashMap<Key, u32>,
+    table: KeyMap<Key, u32>,
     /// Incremented when a key takes the hash route because it has no
     /// explicit entry. Detached (free-floating) unless wired to a
     /// registry via [`RoutingTable::attach_fallback_counters`].

@@ -37,6 +37,7 @@
 //! sender's marker can reach an exited owner.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasher;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,6 +45,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
+use streamloc_sketch::KeyState;
 
 use crate::fault::{ControlClass, ControlFate, FaultInjector};
 use crate::key::Key;
@@ -270,27 +272,32 @@ impl OutRoutes {
 }
 
 /// An operator instance's processing core: the user operator, its keyed
-/// state, its pair observers and the output of the current call.
-pub(crate) struct OperatorCore {
+/// state, its pair observers and the output of the current call. The
+/// live runtime keys its state with the process-seeded [`KeyState`];
+/// the simulator keeps `std`'s hasher, as [`Simulation::poi_state`]
+/// lends its map out.
+///
+/// [`Simulation::poi_state`]: crate::Simulation::poi_state
+pub(crate) struct OperatorCore<S = KeyState> {
     op: Box<dyn Operator>,
     stateful: bool,
     /// The field the state is keyed on (the input's fields grouping);
     /// `None` for an operator without fields input.
     pub(crate) state_field: Option<usize>,
-    pub(crate) state: HashMap<Key, StateValue>,
+    pub(crate) state: HashMap<Key, StateValue, S>,
     /// Per out edge instrumentation (§3.2).
     pub(crate) observers: ObserverSlots,
     /// Output of the dispatches since the caller last cleared it.
     pub(crate) emitted: Vec<Tuple>,
 }
 
-impl OperatorCore {
+impl<S: BuildHasher + Default> OperatorCore<S> {
     pub(crate) fn new(op: Box<dyn Operator>, stateful: bool, state_field: Option<usize>) -> Self {
         Self {
             op,
             stateful,
             state_field,
-            state: HashMap::new(),
+            state: HashMap::default(),
             observers: ObserverSlots::default(),
             emitted: Vec::new(),
         }
@@ -715,14 +722,15 @@ impl Instance {
                 // Checkpoint boundary: buffered output is handed off
                 // before the state snapshot is taken.
                 self.flush(out, true);
-                let _ = reply.send(self.core.state.clone());
+                let snapshot = self.core.state.iter().map(|(&k, v)| (k, v.clone()));
+                let _ = reply.send(snapshot.collect());
             }
             Msg::Crash { restore } => {
                 // Everything volatile is lost; the instance respawns from
                 // the checkpoint the runtime carried over.
                 self.out_buf.iter_mut().for_each(Vec::clear);
                 self.buffered = 0;
-                self.core.state = restore;
+                self.core.state = restore.into_iter().collect();
                 self.wave.reset();
                 self.respawning = true;
                 self.source = None;
@@ -866,7 +874,7 @@ impl Instance {
         InstanceReport {
             po: self.po,
             instance: self.instance,
-            state: self.core.state,
+            state: self.core.state.into_iter().collect(),
             processed: self.processed,
         }
     }

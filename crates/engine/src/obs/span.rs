@@ -23,8 +23,9 @@
 //! window arithmetic, so simulated and live latency reports share one
 //! schema ([`SpanMetricName`]).
 
-use std::collections::HashMap;
 use std::sync::Arc;
+
+use streamloc_sketch::KeyMap;
 
 use crate::key::{splitmix64, Key};
 use crate::tuple::{tuple_run_len, Tuple};
@@ -217,8 +218,8 @@ struct HopHists {
 #[derive(Debug, Default)]
 pub struct SpanRecorder {
     registry: Option<Arc<MetricsRegistry>>,
-    hops: HashMap<(usize, u64, bool), HopHists>,
-    ends: HashMap<(usize, u64), Histogram>,
+    hops: KeyMap<(usize, u64, bool), HopHists>,
+    ends: KeyMap<(usize, u64), Histogram>,
 }
 
 impl SpanRecorder {
@@ -228,8 +229,8 @@ impl SpanRecorder {
     pub fn new(registry: Option<Arc<MetricsRegistry>>) -> Self {
         Self {
             registry,
-            hops: HashMap::new(),
-            ends: HashMap::new(),
+            hops: KeyMap::default(),
+            ends: KeyMap::default(),
         }
     }
 

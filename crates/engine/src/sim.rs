@@ -11,6 +11,7 @@
 //! the budgets, costs, windows and accounting. See DESIGN.md §5 for the
 //! substitution rationale.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -142,7 +143,7 @@ pub(crate) struct PoiRt {
     pub(crate) kind: PoiKindRt,
     /// The operator, its keyed state and its observers. A source's core
     /// is never dispatched: it holds no state and feeds no observer.
-    pub(crate) core: OperatorCore,
+    pub(crate) core: OperatorCore<RandomState>,
     pub(crate) cost_per_tuple: f64,
     pub(crate) input: VecDeque<InTuple>,
     /// Where this POI's output goes.

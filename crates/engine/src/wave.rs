@@ -18,8 +18,10 @@
 //!   restages what is left and force-applies it (roll-forward). Its
 //!   clock is in windows: simulator windows, 100 ms live.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
+
+use streamloc_sketch::KeyMap;
 
 use crate::fault::ControlClass;
 use crate::key::Key;
@@ -87,9 +89,9 @@ pub(crate) struct WaveParticipant<B> {
     awaiting: usize,
     /// Tuples of keys whose state migrates to this instance, buffered
     /// until their ⑥ `MIGRATE` arrives.
-    pub(crate) pending: HashMap<Key, B>,
+    pub(crate) pending: KeyMap<Key, B>,
     /// Keys the last applied wave moved away, with their new owner.
-    pub(crate) departed: HashMap<Key, PoiId>,
+    pub(crate) departed: KeyMap<Key, PoiId>,
 }
 
 impl<B: Default> WaveParticipant<B> {
@@ -98,8 +100,8 @@ impl<B: Default> WaveParticipant<B> {
             preds,
             staged: None,
             awaiting: 0,
-            pending: HashMap::new(),
-            departed: HashMap::new(),
+            pending: KeyMap::default(),
+            departed: KeyMap::default(),
         }
     }
 
@@ -137,7 +139,7 @@ impl<B: Default> WaveParticipant<B> {
 
     /// Crash or rollback: forgets the wave. Returns the buffered tuples
     /// it drops, for the caller to account for or release.
-    pub(crate) fn reset(&mut self) -> HashMap<Key, B> {
+    pub(crate) fn reset(&mut self) -> KeyMap<Key, B> {
         self.staged = None;
         self.awaiting = 0;
         self.departed.clear();

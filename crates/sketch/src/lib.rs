@@ -13,6 +13,9 @@
 //!   amortized updates (one hash-map update until the first eviction),
 //!   per-item error bounds, descending iteration and lossless merging
 //!   of sketches collected from different operator instances;
+//! * [`KeyMap`] — a `std` map under [`KeyState`], the process-seeded
+//!   hasher of every in-memory map on the per-tuple path
+//!   (SpaceSaving's own, routing tables, operator state);
 //! * [`ExactCounter`] — an exact hash-map counter, used by the paper's
 //!   *offline* analysis mode (which counts pairs exactly over a sample)
 //!   and as a test oracle for the sketch.
@@ -36,10 +39,12 @@
 
 mod count_min;
 mod exact;
+mod key_hash;
 mod space_saving;
 mod stable_hash;
 
 pub use count_min::CountMin;
 pub use exact::ExactCounter;
+pub use key_hash::{KeyHasher, KeyMap, KeyState};
 pub use space_saving::{Entry, Estimate, Iter, SpaceSaving};
 pub use stable_hash::{splitmix64, StableHasher};

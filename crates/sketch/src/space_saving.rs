@@ -1,9 +1,11 @@
 //! The SpaceSaving stream-summary structure.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::hash_map::{Entry as MapEntry, HashMap};
+use std::collections::hash_map::Entry as MapEntry;
 use std::fmt;
 use std::hash::Hash;
+
+use crate::{KeyMap, KeyState};
 
 /// Identifier of an entry slot in the slab.
 type EntryId = usize;
@@ -114,7 +116,7 @@ struct BucketSlot {
 enum Store<K> {
     /// Plain counters, kept until the first offer that must evict.
     Flat {
-        counters: HashMap<K, Counter>,
+        counters: KeyMap<K, Counter>,
         /// Offers seen so far: the `touched` stamp of the latest one.
         clock: u64,
     },
@@ -125,7 +127,7 @@ enum Store<K> {
 impl<K> Store<K> {
     fn flat() -> Self {
         Self::Flat {
-            counters: HashMap::new(),
+            counters: KeyMap::default(),
             clock: 0,
         }
     }
@@ -544,7 +546,7 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
 /// first.
 #[derive(Debug, Clone)]
 struct Summary<K> {
-    index: HashMap<K, EntryId>,
+    index: KeyMap<K, EntryId>,
     entries: Vec<EntrySlot<K>>,
     buckets: Vec<BucketSlot>,
     free_buckets: Vec<BucketId>,
@@ -556,11 +558,11 @@ impl<K: Eq + Hash + Clone> Summary<K> {
     /// Builds the summary of `counters` by attaching them in ascending
     /// (count, last touch) order, so each bucket lists its entries most
     /// recently touched first — the order unit offers would have left.
-    fn from_counters(counters: HashMap<K, Counter>) -> Self {
+    fn from_counters(counters: KeyMap<K, Counter>) -> Self {
         let mut items: Vec<(K, Counter)> = counters.into_iter().collect();
         items.sort_unstable_by_key(|(_, c)| c.rank());
         let mut out = Self {
-            index: HashMap::with_capacity(items.len()),
+            index: KeyMap::with_capacity_and_hasher(items.len(), KeyState::default()),
             entries: Vec::with_capacity(items.len()),
             buckets: Vec::new(),
             free_buckets: Vec::new(),
@@ -871,6 +873,7 @@ impl<K: Eq + Hash + Clone> Extend<K> for SpaceSaving<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn single_key_counts_exactly() {

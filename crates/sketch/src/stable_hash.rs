@@ -7,6 +7,11 @@
 //! platforms and compiler versions, so everything funnels through the
 //! two primitives here: [`splitmix64`] for single `u64` values and
 //! [`StableHasher`] for arbitrary `Hash` types.
+//!
+//! In-memory maps whose order nothing depends on hash with the
+//! process-seeded [`KeyState`](crate::KeyState) instead; DESIGN.md §12,
+//! "Key hashing threat model", says which maps those are, where their
+//! seed comes from and what it does and does not defend against.
 
 use std::hash::Hasher;
 
