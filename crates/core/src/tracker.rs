@@ -1,8 +1,7 @@
 //! SpaceSaving-backed pair instrumentation for stateful instances.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use streamloc_engine::{Key, PairObserver};
 use streamloc_sketch::SpaceSaving;
 
@@ -64,20 +63,26 @@ impl PairTracker {
     /// filled yet is ordered when the copy is read, outside the lock.
     #[must_use]
     pub fn snapshot(&self) -> SpaceSaving<(Key, Key)> {
-        self.sketch.lock().clone()
+        self.locked().clone()
     }
 
     /// Total pairs observed since the last reset.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.sketch.lock().total()
+        self.locked().total()
     }
 
     /// Discards all statistics, so the next period only reflects fresh
     /// data (paper §3.2: "Whenever the routing of keys is updated, the
     /// statistics are reinitialized").
     pub fn reset(&self) {
-        self.sketch.lock().clear();
+        self.locked().clear();
+    }
+
+    /// The sketch, also after an observer panicked holding it: an offer
+    /// leaves the sketch whole, so the counts before the panic stand.
+    fn locked(&self) -> MutexGuard<'_, SpaceSaving<(Key, Key)>> {
+        self.sketch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -87,13 +92,13 @@ pub struct TrackerHandle(Arc<PairTracker>);
 
 impl PairObserver for TrackerHandle {
     fn observe(&mut self, input: Key, output: Key) {
-        self.0.sketch.lock().offer((input, output));
+        self.0.locked().offer((input, output));
     }
 
     /// One lock acquisition and one weighted offer per run.
     fn observe_run(&mut self, input: Key, output: Key, count: u64) {
         if count > 0 {
-            self.0.sketch.lock().offer_weighted((input, output), count);
+            self.0.locked().offer_weighted((input, output), count);
         }
     }
 }
@@ -214,6 +219,33 @@ mod tests {
         let per_worker_total: u64 = (0..per_worker).map(|i| 1 + i % 3).sum();
         assert_eq!(tracker.total(), 2 * per_worker_total);
         assert_eq!(tracker.snapshot().total(), 2 * per_worker_total);
+    }
+
+    /// A thread that panics holding the lock leaves it poisoned; the
+    /// tracker keeps working on the counts taken before the panic.
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_tracker_usable() {
+        let tracker = PairTracker::new(16);
+        let mut handle = tracker.handle();
+        handle.observe_run(Key::new(1), Key::new(10), 3);
+        handle.observe(Key::new(2), Key::new(20));
+        let held = Arc::clone(&tracker);
+        let crashed = std::thread::spawn(move || {
+            let _guard = held.sketch.lock();
+            panic!("a panic while the tracker lock is held");
+        });
+        assert!(crashed.join().is_err());
+        assert!(tracker.sketch.is_poisoned());
+        assert_eq!(tracker.total(), 4);
+        let count = |t: &PairTracker, i, o| {
+            let snap = t.snapshot();
+            snap.get(&(Key::new(i), Key::new(o))).map(|e| e.count)
+        };
+        assert_eq!(count(&tracker, 1, 10), Some(3));
+        assert_eq!(count(&tracker, 2, 20), Some(1));
+        handle.observe_run(Key::new(1), Key::new(10), 2);
+        assert_eq!(tracker.total(), 6);
+        assert_eq!(count(&tracker, 1, 10), Some(5));
     }
 
     #[test]

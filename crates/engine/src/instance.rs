@@ -40,11 +40,10 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasher;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Sender;
-use parking_lot::Mutex;
 use streamloc_sketch::KeyState;
 
 use crate::fault::{ControlClass, ControlFate, FaultInjector};
@@ -528,8 +527,7 @@ impl Shared {
 
     /// What the injector (if armed) decides about one control message.
     pub(crate) fn control_fate(&self, class: ControlClass) -> ControlFate {
-        self.fault
-            .lock()
+        crate::lock(&self.fault)
             .as_mut()
             .map_or(ControlFate::Deliver, |inj| inj.on_control(class))
     }
@@ -541,7 +539,7 @@ impl Shared {
         self.batch_sends.inc();
         self.batch_tuples.add(batch.len() as u64);
         if self.batch_faults.load(Ordering::Relaxed) {
-            let mut fault = self.fault.lock();
+            let mut fault = crate::lock(&self.fault);
             if fault.as_mut().is_some_and(FaultInjector::on_batch_send) {
                 self.batch_drops.inc();
                 self.batch_dropped_tuples.add(batch.len() as u64);

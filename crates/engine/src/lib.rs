@@ -101,3 +101,9 @@ pub use topology::{
     SourceRate, Topology, TopologyBuilder, TupleSource,
 };
 pub use tuple::{Tuple, MAX_FIELDS};
+
+/// Locks `mutex`, also after a holder panicked: the fault injector and
+/// the metrics list are whole between calls, so they stay usable.
+fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

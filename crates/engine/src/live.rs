@@ -31,11 +31,10 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use crate::checkpoint::ClusterCheckpoint;
 use crate::fault::{ControlFate, FaultInjector, FaultPlan};
@@ -281,8 +280,8 @@ impl LiveRuntime {
                 place[*idx] = (shard, slot);
             }
         }
-        let (posts, receivers): (Vec<_>, Vec<_>) = groups.iter().map(|_| unbounded()).unzip();
-        let (coord, coord_rx) = unbounded();
+        let (posts, receivers): (Vec<_>, Vec<_>) = groups.iter().map(|_| mpsc::channel()).unzip();
+        let (coord, coord_rx) = mpsc::channel();
         let sources = groups
             .iter()
             .enumerate()
@@ -318,8 +317,11 @@ impl LiveRuntime {
             };
             std::thread::spawn(move || shard.run())
         });
+        let handles = handles.collect();
+        // Every shard runs: the sources may start.
+        fabric.wake_sources();
         Self {
-            handles: handles.collect(),
+            handles,
             shared,
             fabric,
             coord_rx,
@@ -361,7 +363,7 @@ impl LiveRuntime {
 
     /// Snapshot of global instance `idx`; `None` once it exited.
     fn probe(&self, idx: usize) -> Option<HashMap<Key, StateValue>> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = mpsc::channel();
         if !self.fabric.post(idx, Msg::StateProbe(tx)) {
             return None;
         }
@@ -508,7 +510,7 @@ impl LiveRuntime {
         self.shared
             .batch_faults
             .store(plan.has_batch_faults(), Ordering::Relaxed);
-        *self.shared.fault.lock() = Some(FaultInjector::new(plan));
+        *crate::lock(&self.shared.fault) = Some(FaultInjector::new(plan));
     }
 
     /// Snapshots every instance's keyed state into a
@@ -569,9 +571,7 @@ impl LiveRuntime {
     pub fn stop(&self) {
         self.shared.stop.store(true, Ordering::Relaxed);
         // A source waiting for credit or for its next stage re-checks.
-        for &shard in &self.fabric.sources {
-            let _ = self.fabric.posts[shard].send(Post::Wake);
-        }
+        self.fabric.wake_sources();
     }
 
     /// Waits for the pipeline to drain (all `Eos` tokens delivered)
@@ -607,7 +607,8 @@ fn cores() -> usize {
 enum Post {
     /// A message for the instance of this global index.
     To(usize, Msg),
-    /// Wakes a source shard: credit came back, or the runtime stopped.
+    /// Wakes a source shard: the runtime started or stopped, or credit
+    /// came back.
     Wake,
 }
 
@@ -640,6 +641,13 @@ impl Fabric {
         let shard = self.place[idx].0;
         !self.exited[idx].load(Ordering::Acquire)
             && self.posts[shard].send(Post::To(idx, msg)).is_ok()
+    }
+
+    /// Posts [`Post::Wake`] to every source shard.
+    fn wake_sources(&self) {
+        for &shard in &self.sources {
+            let _ = self.posts[shard].send(Post::Wake);
+        }
     }
 
     /// Whether a source may stage more tuples.
@@ -727,7 +735,9 @@ struct Shard {
 }
 
 impl Shard {
-    /// The shard driver, for sources and operators alike. A turn reads
+    /// The shard driver, for sources and operators alike. A source
+    /// shard first waits for `start`'s [`Post::Wake`], posted once every
+    /// shard is spawned, so it does not compete with the start. A turn reads
     /// the clock once, moves what the channel holds onto the instance
     /// queues, and drains each queue into [`Instance::on_msg`] in slot
     /// order. A source pulls a stage once it is due — a paced source's
@@ -742,6 +752,11 @@ impl Shard {
     /// to pull, it waits for a post, for a paced source's next stage,
     /// or for credit.
     fn run(mut self) -> Vec<InstanceReport> {
+        if self.out.fabric.sources.contains(&self.out.shard) {
+            // Only the API posts to a source, after this wake-up.
+            let wake = self.rx.recv().expect("the fabric keeps the channel open");
+            self.take(wake);
+        }
         let start = Instant::now();
         let mut reports = Vec::new();
         let mut linger: Option<Instant> = None;
@@ -864,7 +879,7 @@ mod tests {
     use crate::router::{HashRouter, ModuloRouter};
     use crate::topology::{Grouping, SourceRate, Topology};
     use crate::tuple::Tuple;
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
 
     /// n sources emitting `total/n` tuples each of (c % keys, c % keys).
     fn chain(n: usize, keys: u64, total: u64) -> Topology {
@@ -1174,11 +1189,11 @@ mod tests {
 
     impl PairObserver for PairCounts {
         fn observe(&mut self, input: Key, output: Key) {
-            *self.0.lock().entry((input, output)).or_insert(0) += 1;
+            *self.0.lock().unwrap().entry((input, output)).or_insert(0) += 1;
         }
 
         fn observe_run(&mut self, input: Key, output: Key, count: u64) {
-            *self.0.lock().entry((input, output)).or_insert(0) += count;
+            *self.0.lock().unwrap().entry((input, output)).or_insert(0) += count;
         }
     }
 
@@ -1227,7 +1242,7 @@ mod tests {
             };
             let rt = LiveRuntime::start_with_observers(topo, placement, 2, config, observers);
             let _ = rt.join();
-            assert_eq!(*pairs.0.lock(), want, "batch_size={batch_size}");
+            assert_eq!(*pairs.0.lock().unwrap(), want, "batch_size={batch_size}");
         }
     }
 
@@ -1257,14 +1272,14 @@ mod tests {
             .into_iter()
             .map(|edge| {
                 let log = Arc::clone(&log);
-                let observer = move |_: Key, _: Key| log.lock().push(edge);
+                let observer = move |_: Key, _: Key| log.lock().unwrap().push(edge);
                 (a, 0, edge, 0, Box::new(observer) as Box<dyn PairObserver>)
             })
             .collect();
         let placement = Placement::aligned(&topo, 1);
         let config = LiveConfig::default();
         let _ = LiveRuntime::start_with_observers(topo, placement, 1, config, observers).join();
-        let log = log.lock();
+        let log = log.lock().unwrap();
         assert!(!log.is_empty());
         assert!(log.chunks(2).all(|c| c == [first, second]));
     }
@@ -1316,8 +1331,13 @@ mod tests {
                 )
             })
             .collect();
-        let mut pair_counts: Vec<((Key, Key), u64)> =
-            pairs.0.lock().iter().map(|(&p, &c)| (p, c)).collect();
+        let mut pair_counts: Vec<((Key, Key), u64)> = pairs
+            .0
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(&p, &c)| (p, c))
+            .collect();
         pair_counts.sort_unstable();
         (states, edges, pair_counts)
     }

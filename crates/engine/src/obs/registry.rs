@@ -8,9 +8,7 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Power-of-two histogram bucket upper bounds: `[1, 2, 4, ..., 2^max_exp]`.
 ///
@@ -210,7 +208,7 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn counter(&self, name: &str, help: &str) -> Counter {
-        let mut entries = self.entries.lock();
+        let mut entries = crate::lock(&self.entries);
         if let Some(e) = entries.iter().find(|e| e.name == name) {
             match &e.metric {
                 Metric::Counter(c) => return c.clone(),
@@ -232,7 +230,7 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        let mut entries = self.entries.lock();
+        let mut entries = crate::lock(&self.entries);
         if let Some(e) = entries.iter().find(|e| e.name == name) {
             match &e.metric {
                 Metric::Gauge(g) => return g.clone(),
@@ -255,7 +253,7 @@ impl MetricsRegistry {
     /// Panics if `name` is already registered as a different kind, or
     /// if `bounds` is invalid (see [`Histogram::with_bounds`]).
     pub fn histogram(&self, name: &str, help: &str, bounds: &[u64]) -> Histogram {
-        let mut entries = self.entries.lock();
+        let mut entries = crate::lock(&self.entries);
         if let Some(e) = entries.iter().find(|e| e.name == name) {
             match &e.metric {
                 Metric::Histogram(h) => return h.clone(),
@@ -275,7 +273,7 @@ impl MetricsRegistry {
     /// (histograms are summarized as `<name>_sum` and `<name>_count`).
     #[must_use]
     pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let entries = self.entries.lock();
+        let entries = crate::lock(&self.entries);
         let mut out = Vec::with_capacity(entries.len());
         for e in entries.iter() {
             match &e.metric {
@@ -296,7 +294,7 @@ impl MetricsRegistry {
     /// use [`snapshot`](Self::snapshot) for those.
     #[must_use]
     pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-        let entries = self.entries.lock();
+        let entries = crate::lock(&self.entries);
         entries
             .iter()
             .filter_map(|e| match &e.metric {
@@ -309,7 +307,7 @@ impl MetricsRegistry {
     /// Renders every metric in the Prometheus text exposition format.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
-        let entries = self.entries.lock();
+        let entries = crate::lock(&self.entries);
         let mut out = String::new();
         for e in entries.iter() {
             let _ = writeln!(out, "# HELP {} {}", e.name, e.help);

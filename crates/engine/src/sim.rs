@@ -1635,7 +1635,7 @@ mod tests {
     /// emits, and instance 1, with no observers, must feed nothing.
     #[test]
     fn observer_on_second_out_edge_sees_exactly_its_pairs() {
-        use parking_lot::Mutex;
+        use std::sync::Mutex;
         let total = 3_000u64;
         let tuple = |c: u64| [Key::new(c % 10), Key::new(c % 7), Key::new(100 + c % 3)];
         let mut b = Topology::builder();
@@ -1657,7 +1657,7 @@ mod tests {
 
         let seen: Arc<Mutex<HashMap<(Key, Key), u64>>> = Arc::default();
         let sink = Arc::clone(&seen);
-        let observer = move |i: Key, o: Key| *sink.lock().entry((i, o)).or_insert(0) += 1;
+        let observer = move |i: Key, o: Key| *sink.lock().unwrap().entry((i, o)).or_insert(0) += 1;
         s.add_pair_observer(s.poi_ids(a)[0], second, 2, Box::new(observer));
         s.run_until_drained(10_000);
         assert!(s.is_drained());
@@ -1668,7 +1668,7 @@ mod tests {
                 *want.entry((k0, k2)).or_insert(0) += 1;
             }
         }
-        assert_eq!(*seen.lock(), want);
+        assert_eq!(*seen.lock().unwrap(), want);
     }
 
     /// Observers are fed in out-edge order, whatever order they were
@@ -1676,7 +1676,7 @@ mod tests {
     /// offers, and so its ties, in a fixed order.
     #[test]
     fn observers_are_fed_in_out_edge_order() {
-        use parking_lot::Mutex;
+        use std::sync::Mutex;
         let mut b = Topology::builder();
         let s = b.source("S", 1, SourceRate::Saturate, move |_| {
             let mut c = 0u64;
@@ -1696,18 +1696,18 @@ mod tests {
         let poi = s.poi_ids(a)[0];
         for edge in [second, first] {
             let log = Arc::clone(&log);
-            let observer = move |_: Key, _: Key| log.lock().push(edge);
+            let observer = move |_: Key, _: Key| log.lock().unwrap().push(edge);
             s.add_pair_observer(poi, edge, 1, Box::new(observer));
         }
         s.run_until_drained(10_000);
-        let log = log.lock();
+        let log = log.lock().unwrap();
         assert_eq!(log.len(), 1_000);
         assert!(log.chunks(2).all(|c| c == [first, second]));
     }
 
     #[test]
     fn observer_sees_pairs() {
-        use parking_lot::Mutex;
+        use std::sync::Mutex;
         let pairs = Arc::new(Mutex::new(Vec::new()));
         let topo = chain(2, 4, 0);
         let mut s = sim(topo, 2);
@@ -1721,12 +1721,12 @@ mod tests {
                 edge,
                 1,
                 Box::new(move |i: Key, o: Key| {
-                    sink.lock().push((i, o));
+                    sink.lock().unwrap().push((i, o));
                 }),
             );
         }
         s.run(3);
-        let observed = pairs.lock();
+        let observed = pairs.lock().unwrap();
         assert!(!observed.is_empty());
         // Source emits (c % 4, (c/4) % 4): both fields in 0..4.
         for &(i, o) in observed.iter() {
