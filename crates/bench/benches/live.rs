@@ -1,7 +1,7 @@
 //! Criterion benchmark for the live (threaded) data plane: wall-clock
 //! cost of pushing a fixed Zipf stream through the source → A → B
-//! chain, batched vs unbatched — the micro-scale view of the
-//! `hotpath` binary's throughput bench.
+//! chain in batches of `LiveRuntime::BATCH` — the micro-scale view of
+//! the `hotpath` binary's throughput bench.
 
 use std::sync::Arc;
 
@@ -47,28 +47,14 @@ fn bench_live_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("live/pipeline");
     group.sample_size(10);
     group.throughput(Throughput::Elements(TOTAL as u64));
-    for batch_size in [1usize, 64, 256] {
-        group.bench_with_input(
-            BenchmarkId::new("batch", batch_size),
-            &batch_size,
-            |b, &batch_size| {
-                b.iter(|| {
-                    let topo = zipf_chain(&stream);
-                    let placement = Placement::aligned(&topo, SERVERS);
-                    let rt = LiveRuntime::start(
-                        topo,
-                        placement,
-                        SERVERS,
-                        LiveConfig {
-                            batch_size,
-                            ..LiveConfig::default()
-                        },
-                    );
-                    rt.join().len()
-                });
-            },
-        );
-    }
+    group.bench_function(BenchmarkId::new("batch", LiveRuntime::BATCH), |b| {
+        b.iter(|| {
+            let topo = zipf_chain(&stream);
+            let placement = Placement::aligned(&topo, SERVERS);
+            let rt = LiveRuntime::start(topo, placement, SERVERS, LiveConfig::default());
+            rt.join().len()
+        });
+    });
     group.finish();
 }
 

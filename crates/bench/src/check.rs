@@ -11,7 +11,7 @@
 
 use std::fmt::Write as _;
 
-/// Fraction of the baseline a throughput mode may lose before the
+/// Fraction of the baseline throughput a run may lose before the
 /// check fails (>20% regression fails, per EXPERIMENTS.md).
 pub const THROUGHPUT_TOLERANCE: f64 = 0.20;
 
@@ -35,23 +35,6 @@ pub fn extract_number(json: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Best `tuples_per_s` among the throughput runs labelled `mode`, or
-/// `None` when the mode never appears.
-#[must_use]
-pub fn best_mode_throughput(json: &str, mode: &str) -> Option<f64> {
-    let tag = format!("\"mode\": \"{mode}\"");
-    let mut best: Option<f64> = None;
-    let mut rest = json;
-    while let Some(at) = rest.find(&tag) {
-        rest = &rest[at + tag.len()..];
-        let object = &rest[..rest.find('}').unwrap_or(rest.len())];
-        if let Some(v) = extract_number(object, "tuples_per_s") {
-            best = Some(best.map_or(v, |b: f64| b.max(v)));
-        }
-    }
-    best
-}
-
 /// Outcome of one baseline comparison.
 #[derive(Debug, Default)]
 pub struct CheckReport {
@@ -71,30 +54,34 @@ impl CheckReport {
     }
 }
 
-fn check_mode(report: &mut CheckReport, throughput: &str, baseline: &str, mode: &str) {
-    let base_key = format!("throughput_{mode}_tuples_per_s");
-    let Some(base) = extract_number(baseline, &base_key) else {
+/// The baseline key of the throughput floor. The `columnar` label
+/// predates the one batch shape and is kept so the floor's history
+/// stays comparable.
+const THROUGHPUT_KEY: &str = "throughput_columnar_tuples_per_s";
+
+fn check_throughput(report: &mut CheckReport, throughput: &str, baseline: &str) {
+    let Some(base) = extract_number(baseline, THROUGHPUT_KEY) else {
         report
             .failures
-            .push(format!("baseline is missing \"{base_key}\""));
+            .push(format!("baseline is missing \"{THROUGHPUT_KEY}\""));
         return;
     };
-    let Some(now) = best_mode_throughput(throughput, mode) else {
+    let Some(now) = extract_number(throughput, "tuples_per_s") else {
         report
             .failures
-            .push(format!("BENCH_throughput.json has no \"{mode}\" runs"));
+            .push("BENCH_throughput.json has no \"tuples_per_s\"".to_string());
         return;
     };
     let ratio = now / base.max(f64::MIN_POSITIVE);
     let mut line = String::new();
     let _ = write!(
         line,
-        "  {mode:<9}  baseline {base:>12.0} t/s   now {now:>12.0} t/s   ({ratio:>5.2}x)"
+        "  throughput  baseline {base:>12.0} t/s   now {now:>12.0} t/s   ({ratio:>5.2}x)"
     );
     report.lines.push(line);
     if ratio < 1.0 - THROUGHPUT_TOLERANCE {
         report.failures.push(format!(
-            "{mode} throughput regressed {:.0}% vs baseline (tolerance {:.0}%)",
+            "throughput regressed {:.0}% vs baseline (tolerance {:.0}%)",
             (1.0 - ratio) * 100.0,
             THROUGHPUT_TOLERANCE * 100.0
         ));
@@ -127,15 +114,13 @@ fn check_rebuild(report: &mut CheckReport, rebuild: &str, baseline: &str, key: &
 
 /// Compares one throughput + rebuild run against the baseline.
 ///
-/// Fails on any mode (`unbatched` = batch size 1, `columnar` = best
-/// batched run) regressing more than [`THROUGHPUT_TOLERANCE`], or a
-/// missing mode. Rebuild latency drift only warns.
+/// Fails when the best throughput run regresses more than
+/// [`THROUGHPUT_TOLERANCE`] against the baseline, or either number is
+/// missing. Rebuild latency drift only warns.
 #[must_use]
 pub fn check(baseline: &str, throughput: &str, rebuild: &str) -> CheckReport {
     let mut report = CheckReport::default();
-    for mode in ["unbatched", "columnar"] {
-        check_mode(&mut report, throughput, baseline, mode);
-    }
+    check_throughput(&mut report, throughput, baseline);
     check_rebuild(&mut report, rebuild, baseline, "warm_ms");
     check_rebuild(&mut report, rebuild, baseline, "cold_steady_ms");
     report
@@ -147,60 +132,54 @@ mod tests {
 
     const BASELINE: &str = r#"{
   "bench": "hotpath_baseline",
-  "throughput_unbatched_tuples_per_s": 1000.0,
   "throughput_columnar_tuples_per_s": 4000.0,
   "rebuild_warm_ms": 10.0,
   "rebuild_cold_steady_ms": 8.0
 }"#;
 
-    fn throughput(unbatched: f64, columnar: f64) -> String {
-        format!(
-            r#"{{"runs": [
-  {{"mode": "unbatched", "batch_size": 1, "tuples_per_s": {unbatched}}},
-  {{"mode": "columnar", "batch_size": 64, "tuples_per_s": {columnar}}},
-  {{"mode": "columnar", "batch_size": 256, "tuples_per_s": {}}}
-]}}"#,
-            columnar / 2.0
-        )
+    fn throughput(tuples_per_s: f64) -> String {
+        format!(r#"{{"batch_size": 64, "reps": 5, "tuples_per_s": {tuples_per_s}}}"#)
     }
 
     const REBUILD: &str = r#"{"warm_ms": 11.0, "cold_steady_ms": 7.5}"#;
 
     #[test]
-    fn extracts_numbers_and_bests() {
+    fn extracts_numbers() {
         assert_eq!(extract_number(BASELINE, "rebuild_warm_ms"), Some(10.0));
         assert_eq!(extract_number(BASELINE, "absent"), None);
-        let t = throughput(900.0, 4000.0);
-        assert_eq!(best_mode_throughput(&t, "columnar"), Some(4000.0));
-        assert_eq!(best_mode_throughput(&t, "absent"), None);
+        let t = throughput(4000.0);
+        assert_eq!(extract_number(&t, "tuples_per_s"), Some(4000.0));
     }
 
     #[test]
     fn passes_within_tolerance() {
-        let report = check(BASELINE, &throughput(900.0, 4100.0), REBUILD);
+        let report = check(BASELINE, &throughput(4100.0), REBUILD);
         assert!(report.ok(), "failures: {:?}", report.failures);
         assert!(report.warnings.is_empty(), "{:?}", report.warnings);
     }
 
     #[test]
     fn fails_on_throughput_regression() {
-        let report = check(BASELINE, &throughput(900.0, 3000.0), REBUILD);
+        let report = check(BASELINE, &throughput(3000.0), REBUILD);
         assert!(!report.ok());
-        assert!(report.failures.iter().any(|f| f.contains("columnar")));
+        assert!(report.failures.iter().any(|f| f.contains("regressed")));
     }
 
     #[test]
     fn rebuild_drift_only_warns() {
         let slow = r#"{"warm_ms": 30.0, "cold_steady_ms": 8.0}"#;
-        let report = check(BASELINE, &throughput(1000.0, 4000.0), slow);
+        let report = check(BASELINE, &throughput(4000.0), slow);
         assert!(report.ok());
         assert!(report.warnings.iter().any(|w| w.contains("warm_ms")));
     }
 
     #[test]
-    fn missing_baseline_mode_fails() {
-        let report = check("{}", &throughput(1.0, 3.0), REBUILD);
+    fn missing_throughput_fails() {
+        let report = check("{}", &throughput(3.0), REBUILD);
         assert!(!report.ok());
-        assert_eq!(report.failures.len(), 2);
+        assert_eq!(report.failures.len(), 1);
+        let report = check(BASELINE, "{}", REBUILD);
+        assert!(!report.ok());
+        assert_eq!(report.failures.len(), 1);
     }
 }

@@ -1,5 +1,5 @@
-//! Hot-path benchmarks: live data-plane throughput (batch size 1 vs
-//! batched) and manager rebuild latency (cold vs warm-started).
+//! Hot-path benchmarks: live data-plane throughput and manager rebuild
+//! latency (cold vs warm-started).
 //!
 //! These are the two budgets the paper treats as first-class: the
 //! per-tuple routing-decision cost (§2) and the time the manager
@@ -24,51 +24,12 @@ use streamloc_workloads::{SplitMix64, Zipf};
 /// One measured throughput run.
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputRun {
-    /// Data-plane mode label: `"unbatched"` (batch size 1, one
-    /// `Msg::Data` per tuple on the wire) or `"columnar"` (tuples
-    /// coalesced into `Msg::Batch`es). Both run the same run-based
-    /// processing and routing code; the labels match the baseline
-    /// keys `bench-check` gates on.
-    pub mode: &'static str,
-    /// Batch size the run used (1 = unbatched baseline).
-    pub batch_size: usize,
     /// Wall-clock seconds from start to drained join.
     pub elapsed_s: f64,
     /// Source tuples over `elapsed_s`.
     pub tuples_per_s: f64,
     /// `live_batch_sends_total` after the run.
     pub batch_sends: u64,
-}
-
-/// Result of the batched-vs-unbatched live throughput bench.
-#[derive(Debug, Clone)]
-pub struct ThroughputBench {
-    /// Tuples each run pushes through the pipeline.
-    pub total_tuples: u64,
-    /// Servers (= parallelism of every operator).
-    pub servers: usize,
-    /// Zipf key-domain size.
-    pub keys: usize,
-    /// One entry per batch size, the `batch_size == 1` baseline first.
-    pub runs: Vec<ThroughputRun>,
-}
-
-impl ThroughputBench {
-    /// Best throughput among runs of `mode`, 0.0 when absent.
-    #[must_use]
-    pub fn best(&self, mode: &str) -> f64 {
-        self.runs
-            .iter()
-            .filter(|r| r.mode == mode)
-            .map(|r| r.tuples_per_s)
-            .fold(0.0f64, f64::max)
-    }
-
-    /// Best batched throughput over the batch-size-1 run.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.best("columnar") / self.best("unbatched").max(f64::MIN_POSITIVE)
-    }
 }
 
 /// The Zipf pipeline every throughput run deploys: `servers` sources
@@ -111,18 +72,6 @@ fn throughput_run(
     servers: usize,
     keys: usize,
     total: u64,
-    mode: &'static str,
-    batch_size: usize,
-) -> ThroughputRun {
-    throughput_run_sampled(servers, keys, total, mode, batch_size, None)
-}
-
-fn throughput_run_sampled(
-    servers: usize,
-    keys: usize,
-    total: u64,
-    mode: &'static str,
-    batch_size: usize,
     span_sampler: Option<SpanSampler>,
 ) -> ThroughputRun {
     let total = (total / servers as u64) * servers as u64;
@@ -130,7 +79,6 @@ fn throughput_run_sampled(
     let placement = Placement::aligned(&topo, servers);
     let registry = Arc::new(MetricsRegistry::new());
     let config = LiveConfig {
-        batch_size,
         metrics: Some(Arc::clone(&registry)),
         span_sampler,
     };
@@ -150,89 +98,50 @@ fn throughput_run_sampled(
         .find(|(name, _)| name == "live_batch_sends_total")
         .map_or(0, |(_, v)| v);
     ThroughputRun {
-        mode,
-        batch_size,
         elapsed_s,
         tuples_per_s: total as f64 / elapsed_s,
         batch_sends,
     }
 }
 
-/// Runs the batched-vs-unbatched live throughput bench and writes
+/// Runs the live throughput bench, best of 5 runs, and writes
 /// `BENCH_throughput.json` at the workspace root.
-pub fn bench_throughput(quick: bool) -> (ThroughputBench, PathBuf) {
+pub fn bench_throughput(quick: bool) -> (ThroughputRun, PathBuf) {
     let servers = 3;
     let keys = 1_000;
     // Quick mode too: a batched run of 400k tuples lasts ≈ 36 ms, too
     // short to hold `bench-check`'s 20% gate on two shared cores.
     let total: u64 = 2_000_000;
-    println!("Live throughput — Zipf({keys}) chain, {servers} servers, {total} tuples");
-    println!("  mode        batch   elapsed      tuples/s   batch sends");
     let reps = 5;
-    let configs: [(&'static str, usize); 4] = [
-        ("unbatched", 1),
-        ("columnar", 16),
-        ("columnar", 64),
-        ("columnar", 256),
-    ];
-    // Best of `reps` per configuration: on a loaded machine the minimum
-    // wall time is the least-perturbed estimate of the pipeline's
-    // actual cost. The configurations take turns within each rep, so a
-    // burst of host load slows one rep of several modes rather than
-    // every rep of one.
-    let mut runs: Vec<Option<ThroughputRun>> = vec![None; configs.len()];
-    for _ in 0..reps {
-        for (best, &(mode, batch_size)) in runs.iter_mut().zip(&configs) {
-            let run = throughput_run(servers, keys, total, mode, batch_size);
-            if best.is_none_or(|b| run.tuples_per_s > b.tuples_per_s) {
-                *best = Some(run);
-            }
-        }
-    }
-    let runs: Vec<ThroughputRun> = runs.into_iter().flatten().collect();
-    for run in &runs {
-        println!(
-            "  {:<9}   {:>5}   {:>6.3}s   {:>9.0}   {:>11}",
-            run.mode, run.batch_size, run.elapsed_s, run.tuples_per_s, run.batch_sends
-        );
-    }
-    let bench = ThroughputBench {
-        total_tuples: total,
-        servers,
+    println!(
+        "Live throughput — Zipf({keys}) chain, {servers} servers, {total} tuples, batch {}",
+        LiveRuntime::BATCH
+    );
+    // Best of `reps`: on a loaded machine the minimum wall time is the
+    // least-perturbed estimate of the pipeline's actual cost.
+    let best = (0..reps)
+        .map(|_| throughput_run(servers, keys, total, None))
+        .max_by(|a, b| a.tuples_per_s.total_cmp(&b.tuples_per_s))
+        .expect("at least one rep");
+    println!(
+        "  best of {reps}:  {:.3}s   {:.0} tuples/s   {} batch sends",
+        best.elapsed_s, best.tuples_per_s, best.batch_sends
+    );
+    let json = format!(
+        "{{\n  \"bench\": \"live_throughput\",\n  \"workload\": \"zipf\",\n  \"zipf_keys\": {},\n  \"servers\": {},\n  \"total_tuples\": {},\n  \"quick\": {},\n  \"batch_size\": {},\n  \"reps\": {},\n  \"elapsed_s\": {:.6},\n  \"tuples_per_s\": {:.1},\n  \"batch_sends\": {}\n}}\n",
         keys,
-        runs,
-    };
-    println!("  speedup (best batched / unbatched):  {:.2}x", bench.speedup());
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"live_throughput\",\n");
-    json.push_str("  \"workload\": \"zipf\",\n");
-    json.push_str(&format!("  \"zipf_keys\": {},\n", bench.keys));
-    json.push_str(&format!("  \"servers\": {},\n", bench.servers));
-    json.push_str(&format!("  \"total_tuples\": {},\n", bench.total_tuples));
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str("  \"runs\": [\n");
-    for (i, r) in bench.runs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"batch_size\": {}, \"elapsed_s\": {:.6}, \"tuples_per_s\": {:.1}, \"batch_sends\": {}}}{}\n",
-            r.mode,
-            r.batch_size,
-            r.elapsed_s,
-            r.tuples_per_s,
-            r.batch_sends,
-            if i + 1 < bench.runs.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"speedup_batched_vs_unbatched\": {:.3}\n",
-        bench.speedup()
-    ));
-    json.push_str("}\n");
+        servers,
+        total,
+        quick,
+        LiveRuntime::BATCH,
+        reps,
+        best.elapsed_s,
+        best.tuples_per_s,
+        best.batch_sends,
+    );
     let path = workspace_root().join("BENCH_throughput.json");
     fs::write(&path, json).expect("write BENCH_throughput.json");
-    (bench, path)
+    (best, path)
 }
 
 /// Result of the span-tracing overhead bench.
@@ -273,7 +182,7 @@ pub fn measure_span_overhead(total: u64, denominator: u64, pairs: usize) -> Span
     assert!(pairs > 0, "at least one pair");
     let servers = 3;
     let keys = 1_000;
-    let run = |sampler| throughput_run_sampled(servers, keys, total, "columnar", 256, sampler);
+    let run = |sampler| throughput_run(servers, keys, total, sampler);
     let sampled = || Some(SpanSampler::new(0xC0FFEE, denominator));
     let mut runs: Vec<(f64, f64)> = (0..pairs)
         .map(|i| {
@@ -308,7 +217,8 @@ pub fn bench_span_overhead(quick: bool) -> (SpanOverheadBench, PathBuf) {
     let pairs = 9;
     let bench = measure_span_overhead(total, 64, pairs);
     println!(
-        "Span tracing overhead — batch 256, 1/{} sampling, median of {pairs} pairs of {total} tuples",
+        "Span tracing overhead — batch {}, 1/{} sampling, median of {pairs} pairs of {total} tuples",
+        LiveRuntime::BATCH,
         bench.denominator
     );
     println!("  sampling off:  {:>12.0} t/s", bench.off_tuples_per_s);
@@ -413,7 +323,9 @@ pub fn bench_rebuild(quick: bool) -> (RebuildBench, PathBuf) {
         },
     );
     cold_sim.run(windows);
-    cold_mgr.reconfigure(&mut cold_sim).expect("control rebuild");
+    cold_mgr
+        .reconfigure(&mut cold_sim)
+        .expect("control rebuild");
     cold_sim.run(windows);
     let t = Instant::now();
     cold_mgr
@@ -466,11 +378,9 @@ mod tests {
 
     #[test]
     fn throughput_run_drains_and_counts_batches() {
-        let run = throughput_run(2, 100, 6_000, "columnar", 64);
+        let run = throughput_run(2, 100, 6_000, None);
         assert!(run.tuples_per_s > 0.0);
         assert!(run.batch_sends > 0, "batched run must send batches");
-        let unbatched = throughput_run(2, 100, 6_000, "unbatched", 1);
-        assert_eq!(unbatched.batch_sends, 0);
     }
 
     #[test]
@@ -493,28 +403,5 @@ mod tests {
             bench.off_tuples_per_s,
             bench.on_tuples_per_s,
         );
-    }
-
-    #[test]
-    fn speedups_compare_best_per_mode() {
-        let run = |mode, batch_size, tuples_per_s| ThroughputRun {
-            mode,
-            batch_size,
-            elapsed_s: 1.0,
-            tuples_per_s,
-            batch_sends: 0,
-        };
-        let bench = ThroughputBench {
-            total_tuples: 0,
-            servers: 1,
-            keys: 1,
-            runs: vec![
-                run("unbatched", 1, 100.0),
-                run("columnar", 64, 250.0),
-                run("columnar", 256, 200.0),
-            ],
-        };
-        assert!((bench.speedup() - 2.5).abs() < 1e-9);
-        assert_eq!(bench.best("missing"), 0.0);
     }
 }

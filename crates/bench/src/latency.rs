@@ -307,7 +307,6 @@ pub fn run_live_demo(quick: bool, sample_denominator: u64) -> LatencyDemo {
 
     let registry = Arc::new(MetricsRegistry::new());
     let config = LiveConfig {
-        batch_size: 64,
         metrics: Some(Arc::clone(&registry)),
         span_sampler: Some(SpanSampler::new(0xC0FFEE, sample_denominator)),
     };

@@ -48,7 +48,7 @@ use streamloc_sketch::KeyState;
 
 use crate::fault::{ControlClass, ControlFate, FaultInjector};
 use crate::key::Key;
-use crate::live::{InstanceReport, LiveConfig, LiveObserver};
+use crate::live::{InstanceReport, LiveConfig, LiveObserver, LiveRuntime};
 use crate::obs::{Counter, MetricsRegistry, SpanRecorder, SpanSampler};
 use crate::operator::{IdentityOperator, OpContext, Operator, StateValue};
 use crate::router::{push_dest_run, DestRun, KeyRouter};
@@ -346,11 +346,8 @@ impl<S: BuildHasher + Default> OperatorCore<S> {
 /// per receiver (like a TCP connection in Storm), so per-sender
 /// ordering guarantees hold for `Eos`.
 pub(crate) enum Msg {
-    /// A data tuple.
-    Data(Tuple),
-    /// A run of data tuples coalesced by the sender (one message instead
-    /// of `len()`); the receiver processes them in order, so FIFO
-    /// semantics are identical to `len()` `Data`s.
+    /// A run of data tuples coalesced by the sender; the receiver
+    /// processes them in order.
     Batch(Vec<Tuple>),
     /// ③ new configuration, ⑤ a predecessor instance (or the
     /// coordinator) has switched, or apply now (a retry's release).
@@ -374,7 +371,6 @@ impl Msg {
     /// Data tuples the message carries.
     pub(crate) fn tuples(&self) -> usize {
         match self {
-            Msg::Data(_) => 1,
             Msg::Batch(tuples) => tuples.len(),
             _ => 0,
         }
@@ -425,8 +421,6 @@ pub(crate) struct Shared {
     /// hot path pays one relaxed load, never a mutex, unless batch
     /// faults are actually armed.
     pub(crate) batch_faults: AtomicBool,
-    /// Data-plane batch size (≤ 1 disables batching).
-    batch_size: usize,
     /// Hot-path instruments. Without an attached registry they live in
     /// a private one that is never exported, so increments never
     /// branch.
@@ -469,7 +463,6 @@ impl Shared {
             stop: AtomicBool::new(false),
             fault: Mutex::new(None),
             batch_faults: AtomicBool::new(false),
-            batch_size: config.batch_size,
             tuples_routed: reg.counter(
                 "live_tuples_routed_total",
                 "tuples sent on all edges by the live runtime",
@@ -591,10 +584,11 @@ pub(crate) struct Instance {
     /// data plane's `pending` buffers and `departed` forwards.
     wave: WaveParticipant<VecDeque<Tuple>>,
     routes: OutRoutes,
-    /// Per-destination send buffers (indexed by global instance), the
-    /// data-plane batching of `LiveConfig::batch_size`. Edge counters
-    /// and observers get bulk adds per routed batch, so locality
-    /// statistics do not depend on the batch size.
+    /// Per-destination send buffers (indexed by global instance), each
+    /// sent as one `Msg::Batch` once it holds [`LiveRuntime::BATCH`]
+    /// tuples or its shard flushes it. Edge counters and observers get
+    /// bulk adds per routed batch, so locality statistics do not
+    /// depend on where a batch boundary falls.
     out_buf: Vec<Vec<Tuple>>,
     /// Tuples in `out_buf`, summed over destinations.
     buffered: usize,
@@ -688,7 +682,6 @@ impl Instance {
             return;
         }
         match msg {
-            Msg::Data(tuple) => self.process(std::slice::from_ref(&tuple), out),
             Msg::Batch(tuples) => self.process(&tuples, out),
             Msg::Wave(WaveSend::Reconf(_, staged)) => {
                 self.flush(out, true);
@@ -901,8 +894,10 @@ impl Instance {
     /// Sends `tuples` down every out edge of this instance. Each edge
     /// turns the batch into `(dest, len)` runs by the shared
     /// [`OutRoutes::route`], and each run is appended to its
-    /// destination's send buffer. Edge and hot counters get one relaxed
-    /// add per edge per batch instead of one contended RMW per tuple.
+    /// destination's send buffer, which leaves as one `Msg::Batch` of
+    /// exactly [`LiveRuntime::BATCH`] tuples once full (the shard
+    /// flushes partial ones). Edge and hot counters get one relaxed add
+    /// per edge per batch instead of one contended RMW per tuple.
     /// Edges are routed one after another, so a tuple's copies on
     /// different edges are not interleaved; per-destination order (all
     /// FIFO guarantees rely on) is kept.
@@ -912,7 +907,6 @@ impl Instance {
         }
         let shared = &*self.shared;
         let my_server = shared.server[self.index];
-        let batch = shared.batch_size;
         // One clock read per batch covers every span hop stamp in it;
         // sampler off ⇒ the stamping pass is skipped.
         let hop_now = shared.sampler.as_ref().map(|_| shared.now_ns());
@@ -942,22 +936,16 @@ impl Instance {
                 }
                 let mut rest = &tuples[offset..offset + len];
                 offset += len;
-                if batch <= 1 {
-                    for &tuple in rest {
-                        out.send(dest, Msg::Data(tuple));
-                    }
-                    continue;
-                }
                 // Append the run in chunks sized to the remaining
                 // buffer room, so every batch leaves exactly full.
                 while !rest.is_empty() {
                     let buf = &mut self.out_buf[dest];
-                    let take = rest.len().min(batch - buf.len());
+                    let take = rest.len().min(LiveRuntime::BATCH - buf.len());
                     buf.extend_from_slice(&rest[..take]);
                     rest = &rest[take..];
                     self.buffered += take;
-                    if buf.len() >= batch {
-                        let full = std::mem::replace(buf, Vec::with_capacity(batch));
+                    if buf.len() >= LiveRuntime::BATCH {
+                        let full = std::mem::replace(buf, Vec::with_capacity(LiveRuntime::BATCH));
                         self.buffered -= full.len();
                         shared.send_batch(dest, full, out);
                     }
@@ -979,8 +967,8 @@ impl Instance {
     }
 
     /// The processing routine. Every tuple goes through it: a
-    /// `Msg::Data` as a one-tuple slice, a `Msg::Batch` whole, and the
-    /// buffered tuples released by `Migrate` or adopted at shutdown.
+    /// `Msg::Batch` whole, and the buffered tuples released by
+    /// `Migrate` or adopted at shutdown.
     ///
     /// Walks `tuples` in runs of equal state key and applies the
     /// wave's hold rule to each. A buffered run waits in its `pending`

@@ -111,18 +111,15 @@ pub struct InstanceReport {
 /// before its shard hands it off.
 const LINGER: Duration = Duration::from_micros(100);
 
-/// Runtime tuning knobs.
-#[derive(Debug, Clone)]
+/// What a deployment reports and traces. The data plane has no knob:
+/// tuples per destination are coalesced into batches of up to
+/// [`LiveRuntime::BATCH`], flushed when full, when their shard is
+/// about to wait, once a buffered tuple has waited 100 µs, and on
+/// every control-plane boundary (staging a `Reconf`, forwarding
+/// `Propagate`, answering a `StateProbe`, sending `Eos`), so
+/// per-sender FIFO ordering relative to control messages is preserved.
+#[derive(Debug, Clone, Default)]
 pub struct LiveConfig {
-    /// Data-plane batching: tuples per destination are coalesced into
-    /// `Msg::Batch` sends of up to this many tuples. Buffers are
-    /// flushed when full, when their shard is about to wait, once a
-    /// buffered tuple has waited 100 µs, and on every control-plane
-    /// boundary (staging a `Reconf`, forwarding `Propagate`, answering
-    /// a `StateProbe`, sending `Eos`) so per-sender FIFO ordering
-    /// relative to control messages is preserved. `0` or `1` disables
-    /// batching (one `Msg::Data` per tuple, the pre-batching behavior).
-    pub batch_size: usize,
     /// Observability registry. When set, the runtime registers its
     /// hot-path counters (tuples routed/remote, migrations, migration
     /// bytes, batch sends/flushes) there; workers feed them with
@@ -138,16 +135,6 @@ pub struct LiveConfig {
     /// (the default) disables tracing: the hot path pays one
     /// never-taken branch per tuple.
     pub span_sampler: Option<SpanSampler>,
-}
-
-impl Default for LiveConfig {
-    fn default() -> Self {
-        Self {
-            batch_size: 64,
-            metrics: None,
-            span_sampler: None,
-        }
-    }
 }
 
 /// A running multi-threaded deployment of a [`Topology`].
@@ -208,8 +195,9 @@ impl std::fmt::Debug for LiveRuntime {
 }
 
 impl LiveRuntime {
-    /// Tuples a source stages per step, at most.
-    pub const STAGE: usize = 64;
+    /// Tuples per data message, at most: a source stage and a
+    /// per-destination send buffer each close once they hold this many.
+    pub const BATCH: usize = 64;
 
     /// Admission bound: a source stages tuples only while fewer than
     /// this many are in flight between instances (in send buffers,
@@ -793,7 +781,7 @@ impl Shard {
                         if self.out.fabric.admits()
                             || self.out.fabric.await_credit(self.out.shard) =>
                     {
-                        instance.pull(LiveRuntime::STAGE, Some(now + LINGER), &mut self.out);
+                        instance.pull(LiveRuntime::BATCH, Some(now + LINGER), &mut self.out);
                         ready = true;
                     }
                     _ => {}
@@ -1061,7 +1049,6 @@ mod tests {
             LiveConfig {
                 metrics: Some(Arc::clone(&registry)),
                 span_sampler: Some(SpanSampler::new(7, denominator)),
-                ..LiveConfig::default()
             },
         );
         std::thread::sleep(std::time::Duration::from_millis(30));
@@ -1231,19 +1218,14 @@ mod tests {
                 *want.entry((k0, k2)).or_insert(0) += 1;
             }
         }
-        for batch_size in [1, 64] {
-            let (topo, a, second) = build();
-            let pairs = PairCounts::default();
-            let observers: Vec<LiveObserver> = vec![(a, 0, second, 2, Box::new(pairs.clone()))];
-            let placement = Placement::aligned(&topo, 2);
-            let config = LiveConfig {
-                batch_size,
-                ..LiveConfig::default()
-            };
-            let rt = LiveRuntime::start_with_observers(topo, placement, 2, config, observers);
-            let _ = rt.join();
-            assert_eq!(*pairs.0.lock().unwrap(), want, "batch_size={batch_size}");
-        }
+        let (topo, a, second) = build();
+        let pairs = PairCounts::default();
+        let observers: Vec<LiveObserver> = vec![(a, 0, second, 2, Box::new(pairs.clone()))];
+        let placement = Placement::aligned(&topo, 2);
+        let config = LiveConfig::default();
+        let rt = LiveRuntime::start_with_observers(topo, placement, 2, config, observers);
+        let _ = rt.join();
+        assert_eq!(*pairs.0.lock().unwrap(), want);
     }
 
     /// Observers are fed in out-edge order, whatever order they were
@@ -1363,25 +1345,39 @@ mod tests {
         )
     }
 
-    /// A saturating source replaying `streams`, one per instance.
-    fn replay_source(b: &mut crate::topology::TopologyBuilder, streams: &Streams) -> PoId {
+    /// A saturating source replaying `streams`, one per instance. With
+    /// `pace`, each generator sleeps until its tuple `k` is due, `k /
+    /// pace` seconds after its first call, so its stages close at the
+    /// linger after a few tuples.
+    fn replay_source(
+        b: &mut crate::topology::TopologyBuilder,
+        streams: &Streams,
+        pace: Option<f64>,
+    ) -> PoId {
         let streams = Arc::clone(streams);
         b.source("S", streams.len(), SourceRate::Saturate, move |i| {
             let streams = Arc::clone(&streams);
             let mut next = 0;
+            let mut start = None;
             Box::new(move || {
                 let &(k0, k1) = streams[i].get(next)?;
+                if let Some(rate) = pace {
+                    let start = *start.get_or_insert_with(Instant::now);
+                    let due = start + Duration::from_secs_f64(next as f64 / rate);
+                    std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                }
                 next += 1;
                 Some(Tuple::new([Key::new(k0), Key::new(k1)], 0))
             })
         })
     }
 
-    /// S → A → B with [`ModuloRouter`] on S → A and `hop` on A → B.
-    fn chain_with(streams: &Streams, hop: Arc<dyn KeyRouter>) -> Topology {
+    /// S → A → B with [`ModuloRouter`] on S → A and `hop` on A → B,
+    /// the source paced as [`replay_source`]'s `pace`.
+    fn chain_with(streams: &Streams, pace: Option<f64>, hop: Arc<dyn KeyRouter>) -> Topology {
         let n = streams.len();
         let mut b = Topology::builder();
-        let s = replay_source(&mut b, streams);
+        let s = replay_source(&mut b, streams, pace);
         let a = b.stateful("A", n, CountOperator::factory());
         let bb = b.stateful("B", n, CountOperator::factory());
         b.connect(s, a, Grouping::fields_with(0, Arc::new(ModuloRouter)));
@@ -1390,8 +1386,8 @@ mod tests {
     }
 
     /// S → A → B with [`ModuloRouter`] on both fields-grouped hops.
-    fn modulo_chain(streams: &Streams) -> Topology {
-        chain_with(streams, Arc::new(ModuloRouter))
+    fn modulo_chain(streams: &Streams, pace: Option<f64>) -> Topology {
+        chain_with(streams, pace, Arc::new(ModuloRouter))
     }
 
     /// The fingerprint [`modulo_chain`] must produce, computed
@@ -1437,28 +1433,34 @@ mod tests {
         // The single data plane against an independent reference:
         // operator state, per-edge locality totals and pair-observation
         // totals must come out exactly as computing them from the input
-        // — across the unbatched, degenerate, default and jumbo batch
-        // sizes. Three instances on two servers mix local and remote
-        // hops on both edges.
+        // — from saturating sources, which fill their batches, and from
+        // sources sleeping to 50k tuples/s each, whose stages close at
+        // the linger after a few tuples, so small batches cross every
+        // hop. Three instances on two servers mix local and remote hops
+        // on both edges.
         let streams = pair_streams(3, 13, 30_000);
         let reference = reference_fingerprint(&streams, 2);
         assert!(reference
             .1
             .iter()
             .all(|&(local, remote)| local > 0 && remote > 0));
-        for batch_size in [1, 2, 64, 1024] {
-            let live = run_fingerprint(
-                modulo_chain(&streams),
-                2,
-                LiveConfig {
-                    batch_size,
-                    ..LiveConfig::default()
-                },
-            );
+        for pace in [None, Some(50_000.0)] {
+            let metrics = Arc::new(MetricsRegistry::new());
+            let config = LiveConfig {
+                metrics: Some(Arc::clone(&metrics)),
+                span_sampler: None,
+            };
+            let live = run_fingerprint(modulo_chain(&streams, pace), 2, config);
             assert_eq!(
                 live, reference,
-                "batch_size={batch_size}: live run diverged from the reference"
+                "pace={pace:?}: live run diverged from the reference"
             );
+            if pace.is_some() {
+                let snapshot = metrics.snapshot();
+                let get = |name: &str| snapshot.iter().find(|(n, _)| n == name).map_or(0, |e| e.1);
+                let fill = get("live_batch_tuples_total") / get("live_batch_sends_total").max(1);
+                assert!(fill < 16, "paced sources filled batches of {fill} tuples");
+            }
         }
     }
 
@@ -1476,52 +1478,46 @@ mod tests {
             *want_a.entry(Key::new(k0)).or_insert(0) += 1;
             *want_c.entry(Key::new(k1)).or_insert(0) += 1;
         }
-        for batch_size in [1, 64] {
-            let mut b = Topology::builder();
-            let s = replay_source(&mut b, &streams);
-            let a = b.stateful("A", n, CountOperator::factory());
-            let i = b.stateless("I", n, IdentityOperator::factory());
-            let c = b.stateful("C", n, CountOperator::factory());
-            let d = b.stateless("D", n, IdentityOperator::factory());
-            b.connect(s, a, Grouping::fields(0));
-            let shuffle = b.connect(s, i, Grouping::Shuffle);
-            b.connect(i, c, Grouping::fields(1));
-            let local = b.connect(i, d, Grouping::LocalOrShuffle);
-            let topo = b.build().unwrap();
-            let placement = Placement::aligned(&topo, n);
-            let config = LiveConfig {
-                batch_size,
-                ..LiveConfig::default()
-            };
-            let rt = LiveRuntime::start(topo, placement, n, config);
-            let shared = Arc::clone(&rt.shared);
-            let reports = rt.join();
-            assert_eq!(counts_of(&reports, a), want_a, "batch_size={batch_size}");
-            assert_eq!(counts_of(&reports, c), want_c, "batch_size={batch_size}");
-            for po in [i, d] {
-                let processed: u64 = reports
-                    .iter()
-                    .filter(|r| r.po == po)
-                    .map(|r| r.processed)
-                    .sum();
-                assert_eq!(processed, total, "batch_size={batch_size}, {po:?}");
-            }
-            let totals = |e: EdgeId| {
-                let counters = &shared.edges[e.index()];
-                (
-                    counters.local.load(Ordering::Relaxed),
-                    counters.remote.load(Ordering::Relaxed),
-                )
-            };
-            let (sl, sr) = totals(shuffle);
-            assert_eq!(sl + sr, total);
-            assert!(sr > 0, "round-robin shuffle must spread across servers");
-            assert_eq!(
-                totals(local),
-                (total, 0),
-                "local-or-shuffle must stay local"
-            );
+        let mut b = Topology::builder();
+        let s = replay_source(&mut b, &streams, None);
+        let a = b.stateful("A", n, CountOperator::factory());
+        let i = b.stateless("I", n, IdentityOperator::factory());
+        let c = b.stateful("C", n, CountOperator::factory());
+        let d = b.stateless("D", n, IdentityOperator::factory());
+        b.connect(s, a, Grouping::fields(0));
+        let shuffle = b.connect(s, i, Grouping::Shuffle);
+        b.connect(i, c, Grouping::fields(1));
+        let local = b.connect(i, d, Grouping::LocalOrShuffle);
+        let topo = b.build().unwrap();
+        let placement = Placement::aligned(&topo, n);
+        let rt = LiveRuntime::start(topo, placement, n, LiveConfig::default());
+        let shared = Arc::clone(&rt.shared);
+        let reports = rt.join();
+        assert_eq!(counts_of(&reports, a), want_a);
+        assert_eq!(counts_of(&reports, c), want_c);
+        for po in [i, d] {
+            let processed: u64 = reports
+                .iter()
+                .filter(|r| r.po == po)
+                .map(|r| r.processed)
+                .sum();
+            assert_eq!(processed, total, "{po:?}");
         }
+        let totals = |e: EdgeId| {
+            let counters = &shared.edges[e.index()];
+            (
+                counters.local.load(Ordering::Relaxed),
+                counters.remote.load(Ordering::Relaxed),
+            )
+        };
+        let (sl, sr) = totals(shuffle);
+        assert_eq!(sl + sr, total);
+        assert!(sr > 0, "round-robin shuffle must spread across servers");
+        assert_eq!(
+            totals(local),
+            (total, 0),
+            "local-or-shuffle must stay local"
+        );
     }
 
     /// The cross-runtime agreement test. One finite topology runs to
@@ -1540,7 +1536,7 @@ mod tests {
         let streams = pair_streams(n, 20, 24_000);
         let build = || {
             let mut b = Topology::builder();
-            let s = replay_source(&mut b, &streams);
+            let s = replay_source(&mut b, &streams, None);
             let a = b.stateful("A", n, CountOperator::factory());
             let i = b.stateless("I", n, IdentityOperator::factory());
             let c = b.stateful("C", n, CountOperator::factory());
@@ -1686,7 +1682,6 @@ mod tests {
             placement,
             2,
             LiveConfig {
-                batch_size: 64,
                 metrics: Some(Arc::clone(&metrics)),
                 ..LiveConfig::default()
             },
@@ -1701,7 +1696,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("{name} not registered"))
         };
         // Two hops, every tuple crosses both: routed == 2 × total, and
-        // in batch mode every routed tuple travels inside a batch.
+        // every routed tuple travels inside a batch.
         assert_eq!(get("live_tuples_routed_total"), 2 * total);
         assert_eq!(get("live_batch_tuples_total"), 2 * total);
         let sends = get("live_batch_sends_total");
@@ -1711,28 +1706,6 @@ mod tests {
             "batching did not coalesce ({sends} sends for {} tuples)",
             2 * total
         );
-    }
-
-    #[test]
-    fn unbatched_mode_sends_no_batches() {
-        let metrics = Arc::new(MetricsRegistry::new());
-        let topo = chain(2, 8, 5_000);
-        let placement = Placement::aligned(&topo, 2);
-        let rt = LiveRuntime::start(
-            topo,
-            placement,
-            2,
-            LiveConfig {
-                batch_size: 1,
-                metrics: Some(Arc::clone(&metrics)),
-                ..LiveConfig::default()
-            },
-        );
-        let _ = rt.join();
-        let snap = metrics.snapshot();
-        let get = |name: &str| snap.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-        assert_eq!(get("live_batch_sends_total"), Some(0));
-        assert_eq!(get("live_batch_tuples_total"), Some(0));
     }
 
     #[test]
@@ -1900,7 +1873,7 @@ mod tests {
                             instance.drained();
                         }
                     }
-                    None => instance.pull(1 + pick(LiveRuntime::STAGE), None, &mut q),
+                    None => instance.pull(1 + pick(LiveRuntime::BATCH), None, &mut q),
                 }
                 if instance.done() {
                     reports.push(instance.finish(&mut q));
@@ -1931,7 +1904,7 @@ mod tests {
             let (n, keys) = (3, 13);
             let streams = pair_streams(n, keys, 6_000);
             let reference = reference_fingerprint(&streams, 2).0;
-            let topology = chain_with(&streams, Arc::new(HashRouter));
+            let topology = chain_with(&streams, None, Arc::new(HashRouter));
             for seed in 0..40 {
                 let mut wave = modulo_wave(n, keys);
                 if seed % 2 == 1 {

@@ -1035,11 +1035,11 @@ impl Simulation {
         }
     }
 
-    /// Emits from every source instance in round-robin batches until
-    /// all are exhausted, rate-capped, CPU-exhausted, or admission
-    /// control blocks further emission.
+    /// Emits from every source instance in round-robin turns of up to
+    /// `TURN` tuples until all are exhausted, rate-capped,
+    /// CPU-exhausted, or admission control blocks further emission.
     fn run_sources(&mut self, window: f64, wm: &mut WindowMetrics) {
-        const BATCH: usize = 64;
+        const TURN: usize = 64;
         let source_pois: Vec<usize> = (0..self.pois.len())
             .filter(|&i| matches!(self.pois[i].kind, PoiKindRt::Source { .. }))
             .collect();
@@ -1064,7 +1064,7 @@ impl Simulation {
             let mut progressed = false;
             for si in 0..n {
                 let idx = source_pois[si];
-                for _ in 0..BATCH.min(remaining[si]) {
+                for _ in 0..TURN.min(remaining[si]) {
                     if self.in_flight >= self.config.max_in_flight as i64
                         || budgets[si] <= 0.0
                     {

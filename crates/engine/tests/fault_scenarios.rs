@@ -640,7 +640,6 @@ fn live_batch_drop_drains_and_accounts_for_every_tuple() {
     let placement = Placement::aligned(&topo, PARALLELISM);
     let registry = Arc::new(MetricsRegistry::new());
     let config = LiveConfig {
-        batch_size: 64,
         metrics: Some(Arc::clone(&registry)),
         ..LiveConfig::default()
     };
@@ -692,40 +691,34 @@ fn live_batch_drop_drains_and_accounts_for_every_tuple() {
 /// Crash-respawn in the live runtime: after `checkpoint_now`, a
 /// crashed instance comes back with the checkpointed counts and keeps
 /// counting forward from there. A crashed source restores nothing, so
-/// crashing one probes none of its siblings: their send buffers, which
-/// a probe would flush, are left alone.
+/// crashing one probes none of its siblings: it does not wait for a
+/// sibling whose generator blocks.
 #[test]
 fn live_crash_respawns_from_checkpoint() {
-    use streamloc_engine::MetricsRegistry;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
 
     // Two sources, each generating ≤ 10k tuples/s on its own, so the
-    // runtime sees saturating sources: their output leaves in full
-    // batches of 100 (never a multiple of their 64-tuple stages), or on
-    // a control flush.
+    // runtime sees saturating sources. While `open` is false every
+    // generator blocks, and with it its shard: it answers no probe.
+    let open = Arc::new(AtomicBool::new(true));
+    let gate = Arc::clone(&open);
     let mut b = Topology::builder();
-    let s = b.source("S", 2, SourceRate::Saturate, |_| {
-        Box::new(|| {
-            std::thread::sleep(std::time::Duration::from_micros(100));
-            Some(Tuple::new([Key::new(1)], 0))
+    let s = b.source("S", 2, SourceRate::Saturate, move |_| {
+        let gate = Arc::clone(&gate);
+        Box::new(move || loop {
+            std::thread::sleep(Duration::from_micros(100));
+            if gate.load(Ordering::Acquire) {
+                return Some(Tuple::new([Key::new(1)], 0));
+            }
         })
     });
     let a = b.stateful("A", 1, CountOperator::factory());
     b.connect(s, a, Grouping::fields(0));
     let topo = b.build().unwrap();
     let placement = Placement::aligned(&topo, 1);
-    let registry = Arc::new(MetricsRegistry::new());
-    let config = LiveConfig {
-        batch_size: 100,
-        metrics: Some(Arc::clone(&registry)),
-        ..LiveConfig::default()
-    };
-    let control_flushes = || {
-        let snapshot = registry.snapshot().into_iter();
-        let mut flushes = snapshot.filter(|(name, _)| name == "live_batch_control_flushes_total");
-        flushes.next().map_or(0, |(_, n)| n)
-    };
-    let mut rt = LiveRuntime::start(topo, placement, 1, config);
-    std::thread::sleep(std::time::Duration::from_millis(60));
+    let mut rt = LiveRuntime::start(topo, placement, 1, LiveConfig::default());
+    std::thread::sleep(Duration::from_millis(60));
 
     let cp = rt.checkpoint_now();
     assert!(cp.total_keys() > 0, "checkpoint captured live state");
@@ -755,9 +748,26 @@ fn live_crash_respawns_from_checkpoint() {
         "restored count {after_crash} not anchored at checkpoint ({cp_count})"
     );
 
-    let flushes = control_flushes();
+    // With every generator blocked, a probe of the sibling would wait
+    // until `opener` gives up on the crash and opens the gate.
+    open.store(false, Ordering::Release);
+    let (crashed, wait) = std::sync::mpsc::channel::<()>();
+    let opener = {
+        let open = Arc::clone(&open);
+        std::thread::spawn(move || {
+            let _ = wait.recv_timeout(Duration::from_secs(1));
+            open.store(true, Ordering::Release);
+        })
+    };
+    let started = Instant::now();
     rt.crash_instance(s, 0);
-    assert_eq!(control_flushes(), flushes, "crashing a source probed its sibling");
+    let took = started.elapsed();
+    drop(crashed);
+    opener.join().unwrap();
+    assert!(
+        took < Duration::from_millis(500),
+        "crashing a source probed its sibling"
+    );
 
     rt.stop();
     let reports = rt.join();

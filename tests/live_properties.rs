@@ -82,7 +82,6 @@ proptest! {
         n in 2usize..5,
         keys in 4u64..24,
         seed in any::<u64>(),
-        batch_size in prop::sample::select(vec![1usize, 64]),
         stale_routers in any::<bool>(),
     ) {
         let total = 40_000u64;
@@ -107,11 +106,7 @@ proptest! {
         let hop = b.connect(a, bb, Grouping::fields(1));
         let topo = b.build().unwrap();
         let placement = Placement::aligned(&topo, n);
-        let config = LiveConfig {
-            batch_size,
-            ..LiveConfig::default()
-        };
-        let rt = LiveRuntime::start(topo, placement, n, config);
+        let rt = LiveRuntime::start(topo, placement, n, LiveConfig::default());
 
         let migrations: Vec<(PoId, Key, usize, usize)> = (0..keys)
             .filter_map(|k| {

@@ -118,6 +118,6 @@ fn a_saturating_source_stops_at_the_backlog_bound() {
         }
         assert_eq!(&got, want, "{po:?} per-key counts");
     }
-    let bound = LiveRuntime::BACKLOG_BOUND + LiveRuntime::STAGE as u64;
+    let bound = LiveRuntime::BACKLOG_BOUND + LiveRuntime::BATCH as u64;
     assert!(peak() <= bound, "{} tuples in flight, bound {bound}", peak());
 }
