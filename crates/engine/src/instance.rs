@@ -388,7 +388,11 @@ pub(crate) enum CoordMsg {
     Exited(usize),
 }
 
-/// An instance's only I/O, provided by its driver.
+/// An instance's only I/O, provided by its driver. The driver also
+/// owns the data plane's memory: every send buffer and source stage
+/// comes from [`buffer`](Self::buffer), and every consumed batch goes
+/// back through [`recycle`](Self::recycle), so a driver that keeps the
+/// returned buffers for reuse runs the data plane without allocating.
 pub(crate) trait Outbox {
     /// Sends `msg` to global instance `dest`; `false` if `dest` has
     /// exited and can take nothing more.
@@ -396,6 +400,14 @@ pub(crate) trait Outbox {
 
     /// Tells the wave coordinator `note`.
     fn notify(&mut self, note: CoordMsg);
+
+    /// An empty buffer with room for at least [`LiveRuntime::BATCH`]
+    /// tuples.
+    fn buffer(&mut self) -> Vec<Tuple>;
+
+    /// Takes back the buffer of a batch that was consumed (processed,
+    /// or dropped by fault injection) or of a routed source stage.
+    fn recycle(&mut self, buf: Vec<Tuple>);
 }
 
 /// Per-edge transfer counters.
@@ -536,6 +548,7 @@ impl Shared {
             if fault.as_mut().is_some_and(FaultInjector::on_batch_send) {
                 self.batch_drops.inc();
                 self.batch_dropped_tuples.add(batch.len() as u64);
+                out.recycle(batch);
                 return;
             }
         }
@@ -586,9 +599,11 @@ pub(crate) struct Instance {
     routes: OutRoutes,
     /// Per-destination send buffers (indexed by global instance), each
     /// sent as one `Msg::Batch` once it holds [`LiveRuntime::BATCH`]
-    /// tuples or its shard flushes it. Edge counters and observers get
-    /// bulk adds per routed batch, so locality statistics do not
-    /// depend on where a batch boundary falls.
+    /// tuples or its shard flushes it. A sent buffer is replaced from
+    /// [`Outbox::buffer`] only when the next tuple for its destination
+    /// comes. Edge counters and observers get bulk adds per routed
+    /// batch, so locality statistics do not depend on where a batch
+    /// boundary falls.
     out_buf: Vec<Vec<Tuple>>,
     /// Tuples in `out_buf`, summed over destinations.
     buffered: usize,
@@ -682,7 +697,10 @@ impl Instance {
             return;
         }
         match msg {
-            Msg::Batch(tuples) => self.process(&tuples, out),
+            Msg::Batch(tuples) => {
+                self.process(&tuples, out);
+                out.recycle(tuples);
+            }
             Msg::Wave(WaveSend::Reconf(_, staged)) => {
                 self.flush(out, true);
                 self.wave.stage(*staged);
@@ -764,9 +782,10 @@ impl Instance {
         out.notify(CoordMsg::Applied(self.index));
     }
 
-    /// A source's step: stages at most `max` generated tuples, stamps
-    /// span origins and routes them as a column. The stage also closes
-    /// at `close`, if given: a generator may block until its tuples are
+    /// A source's step: stages at most `max` generated tuples in a
+    /// buffer from [`Outbox::buffer`], stamps span origins, routes them
+    /// as a column and recycles the stage. The stage also closes at
+    /// `close`, if given: a generator may block until its tuples are
     /// due, and a tuple must not wait for a full stage (the clock reads
     /// are spaced as [`CLOCK_EVERY`] says). An operator has nothing to
     /// pull.
@@ -774,11 +793,11 @@ impl Instance {
         let Some((gen, _)) = &mut self.source else {
             return;
         };
-        let mut stage = Vec::with_capacity(max);
+        let mut stage = out.buffer();
         let mut dry = false;
         while stage.len() < max {
             let n = stage.len();
-            let check = n.is_power_of_two() || n % CLOCK_EVERY == 0;
+            let check = n.is_power_of_two() || n.is_multiple_of(CLOCK_EVERY);
             if n > 0 && check && close.is_some_and(|c| Instant::now() >= c) {
                 break;
             }
@@ -801,6 +820,7 @@ impl Instance {
             sampler.stamp_batch(&mut stage, field, self.shared.now_ns());
         }
         self.route(&mut stage, out);
+        out.recycle(stage);
     }
 
     /// Global index.
@@ -896,11 +916,14 @@ impl Instance {
     /// [`OutRoutes::route`], and each run is appended to its
     /// destination's send buffer, which leaves as one `Msg::Batch` of
     /// exactly [`LiveRuntime::BATCH`] tuples once full (the shard
-    /// flushes partial ones). Edge and hot counters get one relaxed add
-    /// per edge per batch instead of one contended RMW per tuple.
-    /// Edges are routed one after another, so a tuple's copies on
-    /// different edges are not interleaved; per-destination order (all
-    /// FIFO guarantees rely on) is kept.
+    /// flushes partial ones). An empty send buffer is taken from
+    /// [`Outbox::buffer`] when a run for its destination comes, so the
+    /// driver's spares, not the allocator, back the data plane. Edge
+    /// and hot counters get one relaxed add per edge per batch instead
+    /// of one contended RMW per tuple. Edges are routed one after
+    /// another, so a tuple's copies on different edges are not
+    /// interleaved; per-destination order (all FIFO guarantees rely on)
+    /// is kept.
     fn route(&mut self, tuples: &mut [Tuple], out: &mut impl Outbox) {
         if tuples.is_empty() || self.routes.is_empty() {
             return;
@@ -940,12 +963,15 @@ impl Instance {
                 // buffer room, so every batch leaves exactly full.
                 while !rest.is_empty() {
                     let buf = &mut self.out_buf[dest];
+                    if buf.capacity() == 0 {
+                        *buf = out.buffer();
+                    }
                     let take = rest.len().min(LiveRuntime::BATCH - buf.len());
                     buf.extend_from_slice(&rest[..take]);
                     rest = &rest[take..];
                     self.buffered += take;
                     if buf.len() >= LiveRuntime::BATCH {
-                        let full = std::mem::replace(buf, Vec::with_capacity(LiveRuntime::BATCH));
+                        let full = std::mem::take(buf);
                         self.buffered -= full.len();
                         shared.send_batch(dest, full, out);
                     }
@@ -1007,7 +1033,9 @@ impl Instance {
                     }
                     Hold::Departed(owner) => {
                         shared.late_forwarded.add(n);
-                        if !out.send(owner.index(), Msg::Batch(run.to_vec())) {
+                        let mut batch = out.buffer();
+                        batch.extend_from_slice(run);
+                        if !out.send(owner.index(), Msg::Batch(batch)) {
                             shared.forward_lost.add(n);
                         }
                         continue;

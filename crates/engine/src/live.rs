@@ -32,7 +32,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -46,6 +46,7 @@ use crate::reconfig::{ReconfigError, ReconfigPlan, WaveConfig};
 use crate::router::KeyRouter;
 use crate::sim::Placement;
 use crate::topology::{EdgeId, PoId, PoiId, Topology};
+use crate::tuple::Tuple;
 use crate::wave::{StagedReconf, WaveCoordinator, WaveSend};
 
 /// An instrumentation registration for the live runtime:
@@ -197,7 +198,7 @@ impl std::fmt::Debug for LiveRuntime {
 impl LiveRuntime {
     /// Tuples per data message, at most: a source stage and a
     /// per-destination send buffer each close once they hold this many.
-    pub const BATCH: usize = 64;
+    pub const BATCH: usize = 256;
 
     /// Admission bound: a source stages tuples only while fewer than
     /// this many are in flight between instances (in send buffers,
@@ -282,6 +283,7 @@ impl LiveRuntime {
             sources: sources.map(|(shard, _)| shard).collect(),
             posts,
             coord,
+            spares: Mutex::new(Spares::new(&topology)),
             backlog: AtomicI64::new(0),
             backlog_peak: registry.map_or_else(Gauge::detached, |r| {
                 r.gauge(
@@ -614,6 +616,8 @@ struct Fabric {
     /// Set while a source shard waits for credit, by shard.
     waiting: Vec<AtomicBool>,
     coord: Sender<CoordMsg>,
+    /// The deployment's spare batch buffers, shared by its shards.
+    spares: Mutex<Spares>,
     /// Tuples in flight between instances: in send buffers, shard
     /// queues and channels. Each shard adds its net change once per
     /// turn, so the sum can dip below zero for a moment.
@@ -678,6 +682,49 @@ impl Fabric {
     }
 }
 
+/// Batch buffers kept for reuse: what an [`Outbox`] takes back through
+/// `recycle` and hands out again through `buffer`. The list keeps at
+/// most `cap` buffers: one per full batch the backlog bound admits in
+/// flight, and one per send buffer of the deployment (an instance's
+/// successor instances, summed). That is enough for a saturated
+/// pipeline to run without allocating, and a burst of flushed partial
+/// batches leaves no more than that behind.
+pub(crate) struct Spares {
+    free: Vec<Vec<Tuple>>,
+    cap: usize,
+}
+
+impl Spares {
+    /// An empty list for a deployment of `topology`.
+    pub(crate) fn new(topology: &Topology) -> Self {
+        let pos = (0..topology.pos.len()).map(PoId);
+        let send_buffers: usize = pos
+            .map(|po| topology.instances(po).len() * topology.successor_instances(po).len())
+            .sum();
+        let cap = LiveRuntime::BACKLOG_BOUND as usize / LiveRuntime::BATCH + send_buffers;
+        Self {
+            free: Vec::with_capacity(cap),
+            cap,
+        }
+    }
+
+    /// A kept buffer if there is one, else a new one: empty, with room
+    /// for a batch.
+    pub(crate) fn take(&mut self) -> Vec<Tuple> {
+        let spare = self.free.pop();
+        spare.unwrap_or_else(|| Vec::with_capacity(LiveRuntime::BATCH))
+    }
+
+    /// Keeps `buf`, emptied, unless the list is full or `buf` has no
+    /// room for a whole batch.
+    pub(crate) fn put(&mut self, mut buf: Vec<Tuple>) {
+        if self.free.len() < self.cap && buf.capacity() >= LiveRuntime::BATCH {
+            buf.clear();
+            self.free.push(buf);
+        }
+    }
+}
+
 /// A shard's outbox: the local queues of its instances, and every
 /// other shard's channel.
 struct ShardOut {
@@ -708,6 +755,14 @@ impl Outbox for ShardOut {
 
     fn notify(&mut self, note: CoordMsg) {
         let _ = self.fabric.coord.send(note);
+    }
+
+    fn buffer(&mut self) -> Vec<Tuple> {
+        crate::lock(&self.fabric.spares).take()
+    }
+
+    fn recycle(&mut self, buf: Vec<Tuple>) {
+        crate::lock(&self.fabric.spares).put(buf);
     }
 }
 
@@ -1767,6 +1822,31 @@ mod tests {
         let _ = rt.join();
     }
 
+    /// A recycled buffer comes back empty with room for a batch, a
+    /// buffer too small for one is not kept, and the list never holds
+    /// more than its cap: one per full batch under the backlog bound
+    /// and one per send buffer.
+    #[test]
+    fn spares_come_back_empty_and_stay_under_the_cap() {
+        // S0, S1 each send to A0, A1; A0, A1 each to B0, B1.
+        let mut spares = Spares::new(&chain(2, 8, 0));
+        let cap = LiveRuntime::BACKLOG_BOUND as usize / LiveRuntime::BATCH + 8;
+        assert_eq!(spares.cap, cap);
+        let full = || vec![Tuple::new([Key::new(1)], 0); LiveRuntime::BATCH];
+        spares.put(full());
+        assert_eq!(spares.free.len(), 1);
+        let buf = spares.take();
+        assert!(buf.is_empty());
+        assert!(buf.capacity() >= LiveRuntime::BATCH);
+        spares.put(Vec::with_capacity(LiveRuntime::BATCH - 1));
+        assert!(spares.free.is_empty(), "too small for a batch");
+        for _ in 0..2 * cap {
+            spares.put(full());
+        }
+        assert_eq!(spares.free.len(), cap);
+        assert!(spares.free.iter().all(Vec::is_empty));
+    }
+
     /// A second driver of the instance actor, on one thread: one
     /// `VecDeque` inbox per instance, and a seeded choice of which
     /// instance steps next — a non-empty inbox delivers its head, an
@@ -1779,11 +1859,13 @@ mod tests {
         use super::*;
         use crate::key::splitmix64;
 
-        /// The seeded driver's outbox.
+        /// The seeded driver's outbox. It recycles batch buffers as a
+        /// shard does, so the reference check runs on reused buffers.
         struct Queues {
             inboxes: Vec<VecDeque<Msg>>,
             exited: Vec<bool>,
             notes: Vec<CoordMsg>,
+            spares: Spares,
         }
 
         impl Outbox for Queues {
@@ -1796,6 +1878,14 @@ mod tests {
 
             fn notify(&mut self, note: CoordMsg) {
                 self.notes.push(note);
+            }
+
+            fn buffer(&mut self) -> Vec<Tuple> {
+                self.spares.take()
+            }
+
+            fn recycle(&mut self, buf: Vec<Tuple>) {
+                self.spares.put(buf);
             }
         }
 
@@ -1816,6 +1906,7 @@ mod tests {
                 inboxes: (0..n).map(|_| VecDeque::new()).collect(),
                 exited: vec![false; n],
                 notes: Vec::new(),
+                spares: Spares::new(topology),
             };
             let mut rng = seed;
             let mut pick = |bound: usize| {
@@ -1888,6 +1979,8 @@ mod tests {
                 stuck.is_empty(),
                 "seed {seed}: instances {stuck:?} never done"
             );
+            // Consumed batches came back for reuse.
+            assert!(!q.spares.free.is_empty(), "seed {seed}: no spares");
             reports.sort_by_key(|r| (r.po.index(), r.instance));
             (outcome, reports)
         }
@@ -1902,7 +1995,9 @@ mod tests {
         #[test]
         fn seeded_driver_matches_the_reference_across_a_wave() {
             let (n, keys) = (3, 13);
-            let streams = pair_streams(n, keys, 6_000);
+            // 8,000 tuples per source: ~60 stages of seeded size up to
+            // `BATCH`, so the stream outlasts the wave.
+            let streams = pair_streams(n, keys, 24_000);
             let reference = reference_fingerprint(&streams, 2).0;
             let topology = chain_with(&streams, None, Arc::new(HashRouter));
             for seed in 0..40 {
