@@ -7,31 +7,12 @@
 //!
 //! Set `STREAMLOC_QUICK=1` for a fast smoke pass with smaller sweeps.
 
-use streamloc_bench::figures;
-
-type FigureFn = fn(bool) -> std::path::PathBuf;
+use streamloc_bench::figures::EXPERIMENTS;
 
 fn main() {
     let quick = streamloc_bench::quick_mode();
-    let figures: &[(&str, FigureFn)] = &[
-        ("fig07", figures::fig07),
-        ("fig08", figures::fig08),
-        ("fig09", figures::fig09),
-        ("fig10", figures::fig10),
-        ("fig11", figures::fig11),
-        ("fig12", figures::fig12),
-        ("fig13", figures::fig13),
-        ("fig14", figures::fig14),
-        ("ablation_partitioner", figures::ablation_partitioner),
-        ("ablation_period", figures::ablation_period),
-        ("ablation_alpha", figures::ablation_alpha),
-        ("ablation_racks", figures::ablation_racks),
-        ("ablation_estimator", figures::ablation_estimator),
-        ("ablation_balance", figures::ablation_balance),
-        ("ablation_latency", figures::ablation_latency),
-    ];
-    let total = figures.len();
-    for (i, (name, run)) in figures.iter().enumerate() {
+    let total = EXPERIMENTS.len();
+    for (i, (name, _, run)) in EXPERIMENTS.iter().enumerate() {
         println!("\n=== [{}/{total}] {name} ===\n", i + 1);
         let start = std::time::Instant::now();
         let path = run(quick);

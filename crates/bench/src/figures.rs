@@ -1,6 +1,7 @@
 //! One driver function per paper figure. Each prints the series the
 //! paper plots and writes `results/<figure>.csv`; `EXPERIMENTS.md`
-//! records the comparison against the published curves.
+//! records the comparison against the published curves. [`EXPERIMENTS`]
+//! lists them once, for the `streamloc` CLI and `all_figures`.
 
 use std::path::PathBuf;
 
@@ -14,6 +15,30 @@ use crate::csv::{f1, f3, CsvWriter};
 use crate::flickr_runs::run_flickr;
 use crate::replay::{replay_locality, tables_from_batch, weekly_imbalance};
 use crate::synthetic_runs::{run_synthetic, RoutingStrategy};
+
+/// A figure driver: takes the quick flag, returns the CSV's path.
+pub type FigureFn = fn(bool) -> PathBuf;
+
+/// Every experiment of the evaluation, in the order they run: its name
+/// (also the name of its CSV under `results/` and of its bin), what it
+/// measures, and its driver.
+pub const EXPERIMENTS: &[(&str, &str, FigureFn)] = &[
+    ("fig07", "throughput vs parallelism (6 panels)", fig07),
+    ("fig08", "throughput vs data locality", fig08),
+    ("fig09", "throughput vs tuple size", fig09),
+    ("fig10", "transient hashtag correlations", fig10),
+    ("fig11", "locality & balance over 25 weeks", fig11),
+    ("fig12", "locality vs edges considered", fig12),
+    ("fig13", "reconfiguration throughput timelines", fig13),
+    ("fig14", "avg throughput vs parallelism, 1 Gb/s", fig14),
+    ("ablation_partitioner", "multilevel vs greedy vs hash", ablation_partitioner),
+    ("ablation_period", "reconfiguration period sweep", ablation_period),
+    ("ablation_alpha", "imbalance bound α sweep", ablation_alpha),
+    ("ablation_racks", "flat vs rack-aware partitioning", ablation_racks),
+    ("ablation_estimator", "always vs gain-gated reconfiguration", ablation_estimator),
+    ("ablation_balance", "hash vs PKG vs DKG under skew", ablation_balance),
+    ("ablation_latency", "latency at fixed offered load", ablation_latency),
+];
 
 /// Simulation windows per synthetic measurement (100 ms each).
 fn synthetic_windows(quick: bool) -> usize {

@@ -361,15 +361,32 @@ pub fn bench_rebuild(quick: bool) -> (RebuildBench, PathBuf) {
     (bench, path)
 }
 
-/// The workspace root, resolved relative to this crate so the binary
-/// works from any working directory.
+/// The workspace root of the current directory: see
+/// [`workspace_root_from`].
 #[must_use]
 pub fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
+    let cwd = std::env::current_dir().unwrap_or_default();
+    workspace_root_from(&cwd)
+}
+
+/// The nearest ancestor of `start` (itself included) that holds
+/// `BENCH_baseline.json`, so a binary run inside a copied checkout reads
+/// and writes that checkout's `BENCH_*.json`. Falls back to the root
+/// this crate was compiled in, so the binary also works from a
+/// directory outside any checkout.
+#[must_use]
+pub fn workspace_root_from(start: &Path) -> PathBuf {
+    match start
         .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf()
+        .find(|dir| dir.join("BENCH_baseline.json").is_file())
+    {
+        Some(dir) => dir.to_path_buf(),
+        None => Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("workspace root")
+            .to_path_buf(),
+    }
 }
 
 #[cfg(test)]
@@ -381,6 +398,22 @@ mod tests {
         let run = throughput_run(2, 100, 6_000, None);
         assert!(run.tuples_per_s > 0.0);
         assert!(run.batch_sends > 0, "batched run must send batches");
+    }
+
+    #[test]
+    fn workspace_root_is_the_nearest_checkout_above_the_start() {
+        let scratch = std::env::temp_dir().join(format!("streamloc-root-{}", std::process::id()));
+        let nested = scratch.join("copy").join("crates").join("bench");
+        fs::create_dir_all(&nested).unwrap();
+        fs::write(scratch.join("copy").join("BENCH_baseline.json"), "{}").unwrap();
+        assert_eq!(workspace_root_from(&nested), scratch.join("copy"));
+        let compiled = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert_eq!(
+            workspace_root_from(&scratch).canonicalize().unwrap(),
+            compiled.canonicalize().unwrap(),
+            "no checkout above the start: the compile-time root"
+        );
+        fs::remove_dir_all(&scratch).unwrap();
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub use operators_ext::{ApproxDistinctOperator, WindowedCountOperator};
 pub use reconfig::{ReconfigError, ReconfigInProgress, ReconfigPlan, WaveConfig};
 pub use router::{
     key_run_len, push_dest_run, DestRun, HashRouter, KeyRouter, ModuloRouter, PartialKeyRouter,
-    PermutationRouter, ShiftedRouter,
+    ShiftedRouter,
 };
 pub use sim::{Placement, SimConfig, Simulation};
 pub use topology::{

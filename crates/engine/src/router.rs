@@ -211,63 +211,6 @@ impl KeyRouter for ShiftedRouter {
     }
 }
 
-/// Balanced random-but-deterministic routing: keys are spread by a
-/// seeded permutation of `0..instances`, so a key domain of exactly
-/// `n` integer keys (the synthetic workload of §4.2) still loads every
-/// instance evenly — as Storm's fields grouping does for integer keys,
-/// whose Java hash is the identity — while the assignment remains
-/// uncorrelated with any other operator's.
-///
-/// Keys outside `0..instances` are hashed first, preserving the
-/// uniform spread for large key domains.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PermutationRouter {
-    perm: Vec<u32>,
-    seed: u64,
-}
-
-impl PermutationRouter {
-    /// Creates the router for a destination with `instances`
-    /// instances, shuffled by `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `instances == 0`.
-    #[must_use]
-    pub fn new(instances: usize, seed: u64) -> Self {
-        assert!(instances > 0, "routing to an operator with no instances");
-        let mut perm: Vec<u32> = (0..instances as u32).collect();
-        // Seeded Fisher-Yates using the splitmix stream.
-        let mut state = seed;
-        for i in (1..instances).rev() {
-            state = crate::key::splitmix64(state);
-            let j = (state % (i as u64 + 1)) as usize;
-            perm.swap(i, j);
-        }
-        Self { perm, seed }
-    }
-}
-
-impl KeyRouter for PermutationRouter {
-    fn route(&self, key: Key, instances: usize) -> u32 {
-        assert!(instances > 0, "routing to an operator with no instances");
-        if instances != self.perm.len() {
-            // Built for another parallelism: degrade to seeded hash.
-            return ((key.stable_hash() ^ self.seed) % instances as u64) as u32;
-        }
-        let slot = if key.value() < instances as u64 {
-            key.value() as usize
-        } else {
-            (key.stable_hash() % instances as u64) as usize
-        };
-        self.perm[slot]
-    }
-
-    fn name(&self) -> &'static str {
-        "permutation"
-    }
-}
-
 /// Partial key grouping (Nasir et al., ICDE 2015 — paper §5.2): each
 /// key may go to either of two hash-chosen candidate instances, and
 /// the sender picks the currently less-loaded one.
@@ -380,44 +323,6 @@ mod tests {
     #[should_panic(expected = "no instances")]
     fn zero_instances_panics() {
         let _ = HashRouter.route(Key::new(1), 0);
-    }
-
-    #[test]
-    fn permutation_router_is_balanced_bijection() {
-        let r = PermutationRouter::new(6, 42);
-        let mut seen = [false; 6];
-        for v in 0..6 {
-            let dest = r.route(Key::new(v), 6) as usize;
-            assert!(!seen[dest], "two keys map to instance {dest}");
-            seen[dest] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn permutation_routers_with_different_seeds_decorrelate() {
-        let a = PermutationRouter::new(6, 1);
-        let b = PermutationRouter::new(6, 2);
-        let matches = (0..6)
-            .filter(|&v| a.route(Key::new(v), 6) == b.route(Key::new(v), 6))
-            .count();
-        assert!(matches < 6, "different seeds should disagree somewhere");
-    }
-
-    #[test]
-    fn permutation_router_handles_large_keys() {
-        let r = PermutationRouter::new(4, 9);
-        for v in 1000..1100 {
-            assert!(r.route(Key::new(v), 4) < 4);
-        }
-    }
-
-    #[test]
-    fn permutation_router_degrades_on_parallelism_mismatch() {
-        let r = PermutationRouter::new(4, 9);
-        for v in 0..100 {
-            assert!(r.route(Key::new(v), 7) < 7);
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ const UNMATCHED: u32 = u32::MAX;
 /// partitioner the routing manager invokes on the bipartite key graph.
 /// Quality on key-correlation graphs is within a few percent of the
 /// greedy baseline's *best case* while being far more robust on
-/// clustered inputs (see `benches/partitioner.rs`).
+/// clustered inputs (see the `ablation_partitioner` experiment).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultilevelPartitioner {
     /// Stop coarsening once the graph has at most

@@ -1,14 +1,15 @@
-//! Exact frequency counting, for offline analysis and as a test oracle.
+//! Exact frequency counting: the test oracle of the SpaceSaving sketch.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
 /// An exact frequency counter over an unbounded key domain.
 ///
-/// The paper's *offline* analysis mode computes exact pair frequencies
-/// over a data sample (§3.2, "Offline analysis"); this type backs that
-/// mode. It is also the oracle against which [`SpaceSaving`] error
-/// bounds are property-tested.
+/// The oracle against which [`SpaceSaving`]'s error bounds and
+/// totals are property-tested. The offline analysis mode (§3.2) does
+/// not use it: `Manager::apply_offline` and the replay harness's
+/// `tables_from_batch` count pairs with SpaceSaving, as the online
+/// mode does.
 ///
 /// [`SpaceSaving`]: crate::SpaceSaving
 ///

@@ -5,7 +5,7 @@
 //! `std` map that uses it. Each absorbed pair of words costs one folded
 //! 64×64→128 multiply and one more finishes (the foldhash / aHash
 //! fallback construction), against SipHash-1-3's round per word and
-//! three to finish. Unlike [`StableHasher`](crate::StableHasher), its
+//! three to finish. Unlike [`splitmix64`](crate::splitmix64), its
 //! output differs between processes: use it for maps whose iteration
 //! order nothing depends on, never for a value that must be the same
 //! across runs. DESIGN.md §12, "Key hashing threat model", says which

@@ -16,9 +16,10 @@
 //! * [`KeyMap`] — a `std` map under [`KeyState`], the process-seeded
 //!   hasher of every in-memory map on the per-tuple path
 //!   (SpaceSaving's own, routing tables, operator state);
-//! * [`ExactCounter`] — an exact hash-map counter, used by the paper's
-//!   *offline* analysis mode (which counts pairs exactly over a sample)
-//!   and as a test oracle for the sketch.
+//! * [`ExactCounter`] — an exact hash-map counter, the oracle the
+//!   sketch's error bounds are tested against;
+//! * [`splitmix64`] — the deterministic integer mix behind hash-based
+//!   fields grouping, the span sampler and the seeded generators.
 //!
 //! # Example
 //!
@@ -37,14 +38,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-mod count_min;
 mod exact;
 mod key_hash;
 mod space_saving;
 mod stable_hash;
 
-pub use count_min::CountMin;
 pub use exact::ExactCounter;
 pub use key_hash::{KeyHasher, KeyMap, KeyState};
 pub use space_saving::{Entry, Estimate, Iter, SpaceSaving};
-pub use stable_hash::{splitmix64, StableHasher};
+pub use stable_hash::splitmix64;

@@ -14,17 +14,6 @@ type BucketId = usize;
 
 const NIL: usize = usize::MAX;
 
-/// Deterministic 64-bit hash shared by the sketches, built on the
-/// fixed-seed [`StableHasher`](crate::StableHasher) — stable across
-/// runs, platforms and Rust releases (unlike `DefaultHasher`, whose
-/// algorithm is explicitly unspecified).
-pub(crate) fn hash_of<K: Hash + ?Sized>(key: &K) -> u64 {
-    use std::hash::Hasher;
-    let mut hasher = crate::StableHasher::new();
-    key.hash(&mut hasher);
-    hasher.finish()
-}
-
 /// A frequency estimate returned by [`SpaceSaving::get`].
 ///
 /// The true count `f` of the item is bounded by
@@ -1086,18 +1075,6 @@ mod tests {
         ss.extend([1, 1, 2]);
         assert_eq!(ss.get(&1).unwrap().count, 2);
         assert_eq!(ss.total(), 3);
-    }
-
-    /// `hash_of` must be identical across runs, platforms and Rust
-    /// releases; these constants were produced by the fixed-seed
-    /// `StableHasher` and any change to them is a determinism break.
-    #[test]
-    fn hash_of_matches_pinned_constants() {
-        assert_eq!(hash_of("streamloc"), 0x6cbc_1369_27d1_dd0a);
-        assert_eq!(hash_of(&42u64), 0xd029_9019_e1e8_5cf6);
-        assert_eq!(hash_of(&7u32), 0x31a6_e27d_24e4_ef88);
-        assert_eq!(hash_of(&(3u64, 9u64)), 0x47f8_a32e_c03e_bac9);
-        assert_eq!(hash_of(&[1u8, 2, 3][..]), 0xca46_8831_3575_0781);
     }
 
     #[test]

@@ -200,7 +200,7 @@ proptest! {
 
 mod bulk_offer_props {
     use proptest::prelude::*;
-    use streamloc_sketch::{CountMin, SpaceSaving};
+    use streamloc_sketch::SpaceSaving;
 
     /// A stream with deliberate runs of consecutive equal keys — the
     /// shape the columnar data plane coalesces.
@@ -255,71 +255,6 @@ mod bulk_offer_props {
                     Some((entry.count, entry.error)),
                     "summaries diverged at key {:?}", entry.key
                 );
-            }
-        }
-
-        /// `CountMin::offer_runs` must match per-key unit offers on
-        /// every estimate, not just on totals.
-        #[test]
-        fn count_min_offer_runs_matches_per_key(stream in run_stream()) {
-            let mut bulk = CountMin::new(3, 16);
-            let mut per = CountMin::new(3, 16);
-            bulk.offer_runs(&stream);
-            for k in &stream {
-                per.offer(k);
-            }
-            prop_assert_eq!(bulk.total(), per.total());
-            for key in 0u16..24 {
-                prop_assert_eq!(bulk.estimate(&key), per.estimate(&key));
-            }
-        }
-    }
-}
-
-mod count_min_props {
-    use proptest::prelude::*;
-    use streamloc_sketch::{CountMin, ExactCounter};
-
-    proptest! {
-        #[test]
-        fn count_min_never_underestimates(
-            stream in prop::collection::vec((0u16..128, 1u64..20), 0..800),
-            depth in 1usize..6,
-            width in 8usize..256,
-        ) {
-            let mut cm = CountMin::new(depth, width);
-            let mut oracle = ExactCounter::new();
-            for &(k, w) in &stream {
-                cm.offer_weighted(&k, w);
-                oracle.offer_weighted(k, w);
-            }
-            prop_assert_eq!(cm.total(), oracle.total());
-            for (key, count) in oracle.iter() {
-                prop_assert!(cm.estimate(key) >= count,
-                    "cm {} < true {}", cm.estimate(key), count);
-            }
-        }
-
-        #[test]
-        fn count_min_merge_upper_bounds(
-            a_stream in prop::collection::vec(0u16..64, 0..500),
-            b_stream in prop::collection::vec(0u16..64, 0..500),
-        ) {
-            let mut a = CountMin::new(4, 64);
-            let mut b = CountMin::new(4, 64);
-            let mut oracle = ExactCounter::new();
-            for &k in &a_stream {
-                a.offer(&k);
-                oracle.offer(k);
-            }
-            for &k in &b_stream {
-                b.offer(&k);
-                oracle.offer(k);
-            }
-            a.merge(&b);
-            prop_assert_eq!(a.total(), oracle.total());
-            for (key, count) in oracle.iter() {
-                prop_assert!(a.estimate(key) >= count);
             }
         }
     }

@@ -5,7 +5,7 @@
 //! and forever, the same guarantee `streamloc-sketch` pins for
 //! hashing. A third-party RNG cannot promise that across versions, so
 //! workloads draw from this splitmix64 counter stream built on the
-//! same [`splitmix64`] finalizer the stable hasher uses.
+//! same [`splitmix64`] finalizer `Key::stable_hash` uses.
 //!
 //! The stream is fully specified: draw `i` for seed `s` is
 //! `splitmix64(s + i * 0x9e37_79b9_7f4a_7c15)` (wrapping), and the

@@ -8,30 +8,9 @@
 //! cargo run --release --bin streamloc -- demo
 //! ```
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use streamloc_bench::figures;
-
-type FigureFn = fn(bool) -> PathBuf;
-
-const EXPERIMENTS: &[(&str, &str, FigureFn)] = &[
-    ("fig07", "throughput vs parallelism (6 panels)", figures::fig07),
-    ("fig08", "throughput vs data locality", figures::fig08),
-    ("fig09", "throughput vs tuple size", figures::fig09),
-    ("fig10", "transient hashtag correlations", figures::fig10),
-    ("fig11", "locality & balance over 25 weeks", figures::fig11),
-    ("fig12", "locality vs edges considered", figures::fig12),
-    ("fig13", "reconfiguration throughput timelines", figures::fig13),
-    ("fig14", "avg throughput vs parallelism, 1 Gb/s", figures::fig14),
-    ("ablation_partitioner", "multilevel vs greedy vs hash", figures::ablation_partitioner),
-    ("ablation_period", "reconfiguration period sweep", figures::ablation_period),
-    ("ablation_alpha", "imbalance bound α sweep", figures::ablation_alpha),
-    ("ablation_racks", "flat vs rack-aware partitioning", figures::ablation_racks),
-    ("ablation_estimator", "always vs gain-gated reconfiguration", figures::ablation_estimator),
-    ("ablation_balance", "hash vs PKG vs DKG under skew", figures::ablation_balance),
-    ("ablation_latency", "latency at fixed offered load", figures::ablation_latency),
-];
+use streamloc_bench::figures::EXPERIMENTS;
 
 fn usage() {
     println!(
@@ -134,11 +113,7 @@ fn about() {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    if quick {
-        // The figure functions read this to shorten their sweeps.
-        std::env::set_var("STREAMLOC_QUICK", "1");
-    }
+    let quick = args.iter().any(|a| a == "--quick") || streamloc_bench::quick_mode();
     let positional: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
